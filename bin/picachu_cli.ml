@@ -210,6 +210,13 @@ let stats_cmd =
 
 (* ------------------------------------------------------------------ lint *)
 
+(* the budget [lint --precision] and [formats] default to: a positive
+   $PICACHU_ERROR_BUDGET, else the library default *)
+let env_budget () =
+  match Option.bind (Sys.getenv_opt "PICACHU_ERROR_BUDGET") float_of_string_opt with
+  | Some b when b > 0.0 -> b
+  | _ -> Precision.default_budget
+
 let lint_cmd =
   let kernels_arg =
     Arg.(value & pos_all string [] & info [] ~docv:"KERNEL"
@@ -260,6 +267,7 @@ let lint_cmd =
             Format.printf "  %a@." Finding.pp f)
         (Finding.sort findings)
     in
+    let budget = env_budget () in
     List.iter
       (fun (variant, (k : Kernel.t)) ->
         let vname = Kernels.variant_name variant in
@@ -283,7 +291,7 @@ let lint_cmd =
             Printf.printf "  error[compile] %s\n" (Picachu_error.to_string e));
         report (Range.analyze k);
         if precision then begin
-          let c = Compiler.select_format k in
+          let c = Compiler.select_format ~budget k in
           let r = Precision.analyze ~fmt:c.Precision.fmt k in
           report r.Precision.findings;
           Printf.printf "  precision: %s (%d bits) proven bound %s budget %g%s\n"
@@ -327,6 +335,14 @@ let formats_cmd =
            ~doc:"Also print every candidate format's proven bound.")
   in
   let run names budget verbose =
+    let budget =
+      match budget with
+      | None -> env_budget ()
+      | Some b when b > 0.0 -> b
+      | Some b ->
+          Printf.eprintf "formats: --budget must be a positive number, got %g\n" b;
+          exit 2
+    in
     let library = Kernels.all Kernels.picachu @ Kernels.extras Kernels.picachu in
     let roster =
       match names with
@@ -349,7 +365,7 @@ let formats_cmd =
     let narrow = ref 0 and fallbacks = ref 0 in
     List.iter
       (fun (k : Kernel.t) ->
-        let c = Compiler.select_format ?budget k in
+        let c = Compiler.select_format ~budget k in
         if c.Precision.fallback then incr fallbacks
         else if Numfmt.bits c.Precision.fmt < 16 then incr narrow;
         Printf.printf "%-16s %-10s %5d  %-11s %-9g %s\n" k.Kernel.name

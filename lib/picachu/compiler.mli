@@ -95,8 +95,9 @@ val select_format :
 (** {!Picachu_verify.Precision.select_format} run as the registered
     ["select-format"] pipeline pass: picks the cheapest candidate format
     whose statically proven error bound fits the budget (default
-    {!Picachu_verify.Precision.default_budget}), falling back to the
-    best-proven (or widest) candidate.  Instrumented under
+    {!Picachu_verify.Precision.default_budget}, the constant [1e-2]),
+    falling back to the best-proven (or widest) candidate.  Raises
+    [Invalid_argument] on a NaN or non-positive budget.  Instrumented under
     {!compile_stats}: candidates tried/proven and fallback count. *)
 
 val verify_compiled : options -> compiled -> Picachu_verify.Finding.t list

@@ -2,7 +2,6 @@ module Op = Picachu_ir.Op
 module Instr = Picachu_ir.Instr
 module Kernel = Picachu_ir.Kernel
 module Numfmt = Picachu_numerics.Numfmt
-module Lut = Picachu_numerics.Lut
 module Lut_catalog = Picachu_numerics.Lut_catalog
 
 (* Static precision analysis: abstractly execute a kernel over pairs
@@ -21,20 +20,14 @@ module Lut_catalog = Picachu_numerics.Lut_catalog
    harness in the test suite, which compares bit-accurate runs against the
    claimed bounds. *)
 
-type config = {
+type config = Absint.config = {
   stream_ranges : (string * (float * float)) list;
   default_stream : float * float;
   default_scalar : float * float;
   trip_max : int;
 }
 
-let default_config =
-  {
-    stream_ranges = [];
-    default_stream = (-2.0, 2.0);
-    default_scalar = (-2.0, 2.0);
-    trip_max = 1024;
-  }
+let default_config = Absint.default_config
 
 (* ------------------------------------------------- quantization contract *)
 
@@ -66,7 +59,7 @@ let requantize_exact fmt (op : Op.t) =
 let rounder fmt : Kernel.loop -> Instr.t -> float -> float =
  fun loop ->
   let body = Array.of_list loop.Kernel.body in
-  let skel = Range.skeleton_ids body in
+  let skel = Absint.skeleton_ids body in
   fun (i : Instr.t) v ->
     if quantized i.Instr.op && not (List.mem i.Instr.id skel) then
       Numfmt.quantize fmt v
@@ -97,19 +90,14 @@ let ideal_mag av =
   let lo, hi = Affine.interval av in
   Float.max (Float.abs lo) (Float.abs hi)
 
+(* distance of [lo, hi] from zero; 0 when it contains zero *)
+let min_mag (lo, hi) = if lo > 0.0 then lo else if hi < 0.0 then -.hi else 0.0
+
 (* outward slack on magnitude/bound comparisons: the analysis itself runs
    in float64 and must not mis-prove by its own last-ulp rounding *)
 let slack = 1e-9
 
 let inflate x = if Float.is_finite x then x *. (1.0 +. slack) else x
-
-(* Lipschitz constants of the shipped LUTs over their clamped domain,
-   from the catalogue (a PWL interpolant's constant is its max segment
-   slope; for "phi" the historical 0.4 bound — sup Phi' = 1/sqrt(2pi)
-   ~ 0.3989 — is preserved exactly) *)
-let lut_lipschitz = Lut_catalog.lipschitz
-
-let lut_interval = Lut_catalog.interval
 
 (* ------------------------------------------------------------ op transfer *)
 
@@ -127,6 +115,30 @@ let finish fmt op av err =
         if requantize_exact fmt op then 0.0 else Numfmt.quantum fmt ~mag:m
       in
       { av; err = err +. rnd }
+
+(* exact-arithmetic propagation of operand errors through a binary op,
+   before any rounding: shared by the data path (which then rounds through
+   [finish]) and the host float64 glue (which adds no rounding) *)
+let binop cx (op : Op.binop) a b =
+  match op with
+  | Op.Add -> { av = Affine.add a.av b.av; err = a.err +. b.err }
+  | Op.Sub -> { av = Affine.sub a.av b.av; err = a.err +. b.err }
+  | Op.Mul ->
+      let am = ideal_mag a.av and bm = ideal_mag b.av in
+      {
+        av = Affine.mul a.av b.av;
+        err = (am *. b.err) +. (bm *. a.err) +. (a.err *. b.err);
+      }
+  | Op.Div ->
+      let bmin = min_mag (Affine.interval b.av) in
+      let bmin_fin = bmin -. b.err in
+      let av = Affine.div cx a.av b.av in
+      if bmin_fin <= 0.0 then { av; err = infinity }
+      else
+        let am = ideal_mag a.av and bm = ideal_mag b.av in
+        { av; err = ((bm *. a.err) +. (am *. b.err)) /. (bmin_fin *. bmin) }
+  | Op.Max -> { av = Affine.max_ cx a.av b.av; err = Float.max a.err b.err }
+  | Op.Min -> { av = Affine.min_ cx a.av b.av; err = Float.max a.err b.err }
 
 let eval_body cx fmt (body : Instr.t array) ~lookup_stream ~lookup_scalar
     ~phi_value =
@@ -177,60 +189,26 @@ let eval_body cx fmt (body : Instr.t array) ~lookup_stream ~lookup_scalar
                 Float.max t.err f.err +. w
             in
             { av = Affine.join cx t.av f.av; err }
-        | Op.Bin op -> (
+        | Op.Bin ((Op.Max | Op.Min) as op) ->
             let a = arg 0 and b = arg 1 in
-            match op with
-            | Op.Add -> { av = Affine.add a.av b.av; err = a.err +. b.err }
-            | Op.Sub -> { av = Affine.sub a.av b.av; err = a.err +. b.err }
-            | Op.Mul ->
-                let am = ideal_mag a.av and bm = ideal_mag b.av in
-                {
-                  av = Affine.mul a.av b.av;
-                  err = (am *. b.err) +. (bm *. a.err) +. (a.err *. b.err);
-                }
-            | Op.Div ->
-                let blo, bhi = Affine.interval b.av in
-                let bmin =
-                  if blo > 0.0 then blo else if bhi < 0.0 then -.bhi else 0.0
-                in
-                let bmin_fin = bmin -. b.err in
-                let av = Affine.div cx a.av b.av in
-                if bmin_fin <= 0.0 then { av; err = infinity }
-                else
-                  let am = ideal_mag a.av and bm = ideal_mag b.av in
-                  {
-                    av;
-                    err =
-                      ((bm *. a.err) +. (am *. b.err)) /. (bmin_fin *. bmin);
-                  }
-            | Op.Max | Op.Min ->
-                let alo, ahi = Affine.interval a.av
-                and blo, bhi = Affine.interval b.av in
-                (* domination: when one operand provably wins in both the
-                   ideal and the finite run, the result is a copy of it *)
-                let pick_a, pick_b =
-                  match op with
-                  | Op.Max ->
-                      ( alo > bhi && alo -. a.err > bhi +. b.err,
-                        blo > ahi && blo -. b.err > ahi +. a.err )
-                  | _ ->
-                      ( ahi < blo && ahi +. a.err < blo -. b.err,
-                        bhi < alo && bhi +. b.err < alo -. a.err )
-                in
-                if pick_a then a
-                else if pick_b then b
-                else
-                  let joiner =
-                    match op with Op.Max -> Affine.max_ | _ -> Affine.min_
-                  in
-                  { av = joiner cx a.av b.av; err = Float.max a.err b.err })
+            let alo, ahi = Affine.interval a.av
+            and blo, bhi = Affine.interval b.av in
+            (* domination: when one operand provably wins in both the ideal
+               and the finite run, the result is a copy of it *)
+            let pick_a, pick_b =
+              match op with
+              | Op.Max ->
+                  ( alo > bhi && alo -. a.err > bhi +. b.err,
+                    blo > ahi && blo -. b.err > ahi +. a.err )
+              | _ ->
+                  ( ahi < blo && ahi +. a.err < blo -. b.err,
+                    bhi < alo && bhi +. b.err < alo -. a.err )
+            in
+            if pick_a then a else if pick_b then b else binop cx op a b
+        | Op.Bin op -> binop cx op (arg 0) (arg 1)
         | Op.Un Op.Neg -> { av = Affine.neg (arg 0).av; err = (arg 0).err }
         | Op.Un Op.Abs -> { av = Affine.abs cx (arg 0).av; err = (arg 0).err }
-        | Op.Un Op.Floor ->
-            let a = arg 0 in
-            let err = if a.err = 0.0 then 0.0 else a.err +. 1.0 in
-            { av = Affine.floor cx a.av; err }
-        | Op.Fp2fx_int ->
+        | Op.Un Op.Floor | Op.Fp2fx_int ->
             let a = arg 0 in
             let err = if a.err = 0.0 then 0.0 else a.err +. 1.0 in
             { av = Affine.floor cx a.av; err }
@@ -282,12 +260,14 @@ let eval_body cx fmt (body : Instr.t array) ~lookup_stream ~lookup_scalar
             let alo, ahi = Affine.interval a.av in
             let av =
               if Float.is_finite alo && Float.is_finite ahi then
-                let lo, hi = lut_interval name alo ahi in
+                let lo, hi = Lut_catalog.interval name alo ahi in
                 Affine.of_interval cx lo hi
               else Affine.top
             in
+            (* the table's Lipschitz constant (its steepest segment) scales
+               the input error *)
             let err =
-              match lut_lipschitz name with
+              match Lut_catalog.lipschitz name with
               | Some l -> l *. a.err
               | None -> infinity
             in
@@ -296,239 +276,73 @@ let eval_body cx fmt (body : Instr.t array) ~lookup_stream ~lookup_scalar
       in
       values.(i.Instr.id) <- finish fmt i.Instr.op v.av v.err)
     body;
-  values
-
-(* -------------------------------------------------------- scalar pre-glue *)
+  Array.map cell_of_aval values
 
 (* the between-loop scalar glue runs on the host float64 path: errors from
    exported scalars propagate, but no rounding is added *)
-let eval_sexpr_aval cx scalars e : aval =
-  let rec go = function
-    | Kernel.Svar s -> (
-        match List.assoc_opt s scalars with
-        | Some c -> aval_of_cell cx c
-        | None -> { av = Affine.top; err = infinity })
-    | Kernel.Sconst v -> { av = Affine.const v; err = 0.0 }
-    | Kernel.Sbin (op, x, y) -> (
-        let a = go x and b = go y in
-        match op with
-        | Op.Add -> { av = Affine.add a.av b.av; err = a.err +. b.err }
-        | Op.Sub -> { av = Affine.sub a.av b.av; err = a.err +. b.err }
-        | Op.Mul ->
-            {
-              av = Affine.mul a.av b.av;
-              err =
-                (ideal_mag a.av *. b.err)
-                +. (ideal_mag b.av *. a.err)
-                +. (a.err *. b.err);
-            }
-        | Op.Div ->
-            let blo, bhi = Affine.interval b.av in
-            let bmin =
-              if blo > 0.0 then blo else if bhi < 0.0 then -.bhi else 0.0
-            in
-            let bmin_fin = bmin -. b.err in
-            let av = Affine.div cx a.av b.av in
-            if bmin_fin <= 0.0 then { av; err = infinity }
-            else
-              {
-                av;
-                err =
-                  ((ideal_mag b.av *. a.err) +. (ideal_mag a.av *. b.err))
-                  /. (bmin_fin *. bmin);
-              }
-        | Op.Max ->
-            {
-              av = Affine.max_ cx a.av b.av;
-              err = Float.max a.err b.err;
-            }
-        | Op.Min ->
-            {
-              av = Affine.min_ cx a.av b.av;
-              err = Float.max a.err b.err;
-            })
-    | Kernel.Sisqrt x ->
-        let a = go x in
-        let lo, hi = Affine.interval a.av in
-        let av =
-          if hi <= 0.0 then Affine.top
-          else
-            let h = if lo > 0.0 then 1.0 /. sqrt lo else infinity in
-            Affine.of_interval cx (1.0 /. sqrt hi) h
-        in
-        let err =
-          let lmin = lo -. a.err in
-          if lmin > 0.0 then a.err /. (2.0 *. (lmin *. sqrt lmin))
-          else infinity
-        in
-        { av; err }
-  in
-  go e
-
-(* ----------------------------------------------------------- loop analysis *)
-
-let analyze_loop cfg ~cx ~fmt ~streams ~scalars (loop : Kernel.loop) =
-  let body = Array.of_list loop.Kernel.body in
-  let count = Array.length body in
-  let scalars = ref scalars in
-  (match Range.skeleton_ids body with
-  | _ :: _ :: _ :: bound_id :: _ when bound_id >= 0 && bound_id < count -> (
-      match (body.(bound_id)).Instr.op with
-      | Op.Input s ->
-          scalars :=
-            (s, { lo = 1.0; hi = float_of_int cfg.trip_max; err = 0.0 })
-            :: !scalars
-      | _ -> ())
-  | _ -> ());
-  List.iter
-    (fun (name, e) ->
-      scalars := (name, cell_of_aval (eval_sexpr_aval cx !scalars e)) :: !scalars)
-    loop.Kernel.pre;
-  let input_stream_cell s =
-    let lo, hi =
-      match List.assoc_opt s cfg.stream_ranges with
-      | Some r -> r
-      | None -> cfg.default_stream
-    in
-    (* quantizing an in-range input can round it just past the configured
-       range: widen by one quantum (saturation caps it at the format max) *)
-    let q = Numfmt.quantum fmt ~mag:(Float.max (Float.abs lo) (Float.abs hi)) in
-    let mx = Numfmt.max_value fmt in
-    {
-      lo = Float.max (lo -. q) (-.mx);
-      hi = Float.min (hi +. q) mx;
-      err = 0.0;
-    }
-  in
-  let lookup_stream s =
-    let c =
-      match Hashtbl.find_opt streams s with
-      | Some c -> c
-      | None -> input_stream_cell s
-    in
-    aval_of_cell cx c
-  in
-  let lookup_scalar s =
-    let c =
-      match List.assoc_opt s !scalars with
-      | Some c -> c
-      | None ->
-          let lo, hi =
-            match List.assoc_opt s cfg.stream_ranges with
-            | Some r -> r
-            | None -> cfg.default_scalar
-          in
-          { lo; hi; err = 0.0 }
-    in
-    aval_of_cell cx c
-  in
-  let state = ref (Array.make count cell_top) in
-  let first = ref true in
-  let phi_value id (init : aval) =
-    if !first then init
+let isqrt cx a =
+  let lo, hi = Affine.interval a.av in
+  let av =
+    if hi <= 0.0 then Affine.top
     else
-      let s = !state in
-      let carried =
-        match (body.(id)).Instr.args with
-        | [ _; next ] when next >= 0 && next < count -> s.(next)
-        | _ -> cell_top
-      in
-      aval_of_cell cx
-        (cell_join (cell_of_aval init) (cell_join s.(id) carried))
+      let h = if lo > 0.0 then 1.0 /. sqrt lo else infinity in
+      Affine.of_interval cx (1.0 /. sqrt hi) h
   in
-  let run_iteration () =
-    let values =
-      eval_body cx fmt body ~lookup_stream ~lookup_scalar ~phi_value
-    in
-    let cells = Array.map cell_of_aval values in
-    let joined =
-      if !first then cells
-      else Array.mapi (fun i c -> cell_join (!state).(i) c) cells
-    in
-    let stable = (not !first) && Array.for_all2 cell_equal !state joined in
-    first := false;
-    state := joined;
-    stable
+  let err =
+    let lmin = lo -. a.err in
+    if lmin > 0.0 then a.err /. (2.0 *. (lmin *. sqrt lmin)) else infinity
   in
-  let iters = ref 0 in
-  let stable = ref false in
-  while (not !stable) && !iters <= cfg.trip_max do
-    stable := run_iteration ();
-    incr iters
-  done;
-  let cells = !state in
-  Array.iter
-    (fun (i : Instr.t) ->
-      match i.Instr.op with
-      | Op.Store s ->
-          let c = cells.(i.Instr.id) in
-          let c =
-            match Hashtbl.find_opt streams s with
-            | Some old -> cell_join old c
-            | None -> c
-          in
-          Hashtbl.replace streams s c
-      | _ -> ())
-    body;
-  let exports =
-    List.map (fun (name, id) -> (name, cells.(id))) loop.Kernel.exports
-  in
-  (cells, exports @ !scalars)
+  { av; err }
+
+let domain cx fmt : (aval, cell) Absint.domain =
+  {
+    Absint.top = cell_top;
+    join = cell_join;
+    equal = cell_equal;
+    cell = cell_of_aval;
+    value = aval_of_cell cx;
+    input = (fun (lo, hi) -> { lo; hi; err = 0.0 });
+    stream =
+      (fun (lo, hi) ->
+        (* quantizing an in-range input can round it just past the
+           configured range: widen by one quantum (saturation caps it at
+           the format max) *)
+        let q = Numfmt.quantum fmt ~mag:(Float.max (Float.abs lo) (Float.abs hi)) in
+        let mx = Numfmt.max_value fmt in
+        { lo = Float.max (lo -. q) (-.mx); hi = Float.min (hi +. q) mx; err = 0.0 });
+    transfer = eval_body cx fmt;
+    unknown = { av = Affine.top; err = infinity };
+    const = (fun v -> { av = Affine.const v; err = 0.0 });
+    bin = binop cx;
+    isqrt = isqrt cx;
+  }
 
 (* ------------------------------------------------------------------ findings *)
 
-let loop_findings fmt ~kernel (loop : Kernel.loop) (cells : cell array) =
-  let body = Array.of_list loop.Kernel.body in
-  let skeleton = Range.skeleton_ids body in
+let check fmt =
   let mx = Numfmt.max_value fmt in
-  let fs = ref [] in
-  let add sev ~node code f =
-    Printf.ksprintf
-      (fun m ->
-        fs :=
-          Finding.make ~kernel ~loop:loop.Kernel.label ~node
-            Finding.Precision_check sev ~code "%s" m
-          :: !fs)
-      f
-  in
-  Array.iter
-    (fun (i : Instr.t) ->
-      let id = i.Instr.id in
-      if (not (List.mem id skeleton)) && quantized i.Instr.op then begin
-        let c = cells.(id) in
-        (match i.Instr.op with
-        | Op.Bin Op.Div -> (
-            match List.nth_opt i.Instr.args 1 with
-            | Some a when a >= 0 && a < Array.length cells ->
-                let d = cells.(a) in
-                let bmin =
-                  if d.lo > 0.0 then d.lo
-                  else if d.hi < 0.0 then -.d.hi
-                  else 0.0
-                in
-                if bmin > 0.0 && bmin <= d.err then
-                  add Finding.Warning ~node:id "prec-div-error"
-                    "divisor stays %g from zero but carries error %g" bmin
-                    d.err
-            | _ -> ())
-        | _ -> ());
-        if
-          not
-            (Float.is_finite c.lo && Float.is_finite c.hi
-           && Float.is_finite c.err)
-        then
-          add Finding.Warning ~node:id "prec-unbounded"
-            "%s has no finite error bound under %s (value [%g, %g], error %g)"
-            (Op.name i.Instr.op) (Numfmt.name fmt) c.lo c.hi c.err
-        else if
-          inflate (Float.max (Float.abs c.lo) (Float.abs c.hi) +. c.err) > mx
-        then
-          add Finding.Warning ~node:id "prec-overflow"
-            "%s range [%g, %g] (+error %g) exceeds %s max %g"
-            (Op.name i.Instr.op) c.lo c.hi c.err (Numfmt.name fmt) mx
-      end)
-    body;
-  List.rev !fs
+  fun ~add ~arg (i : Instr.t) c ->
+    if quantized i.Instr.op then begin
+      (match i.Instr.op with
+      | Op.Bin Op.Div ->
+          let d = arg 1 in
+          let bmin = min_mag (d.lo, d.hi) in
+          if bmin > 0.0 && bmin <= d.err then
+            add Finding.Warning "prec-div-error"
+              (Printf.sprintf "divisor stays %g from zero but carries error %g" bmin
+                 d.err)
+      | _ -> ());
+      if not (Float.is_finite c.lo && Float.is_finite c.hi && Float.is_finite c.err)
+      then
+        add Finding.Warning "prec-unbounded"
+          (Printf.sprintf
+             "%s has no finite error bound under %s (value [%g, %g], error %g)"
+             (Op.name i.Instr.op) (Numfmt.name fmt) c.lo c.hi c.err)
+      else if inflate (Float.max (Float.abs c.lo) (Float.abs c.hi) +. c.err) > mx then
+        add Finding.Warning "prec-overflow"
+          (Printf.sprintf "%s range [%g, %g] (+error %g) exceeds %s max %g"
+             (Op.name i.Instr.op) c.lo c.hi c.err (Numfmt.name fmt) mx)
+    end
 
 (* ------------------------------------------------------------------ results *)
 
@@ -540,17 +354,9 @@ type result = {
 }
 
 let analyze ?(config = default_config) ~fmt (k : Kernel.t) =
-  let cx = Affine.ctx () in
-  let streams = Hashtbl.create 8 in
-  let _, findings =
-    List.fold_left
-      (fun (scalars, acc) loop ->
-        let cells, scalars' =
-          analyze_loop config ~cx ~fmt ~streams ~scalars loop
-        in
-        let fs = loop_findings fmt ~kernel:k.Kernel.name loop cells in
-        (scalars', acc @ fs))
-      ([], []) k.Kernel.loops
+  let streams, findings =
+    Absint.run (domain (Affine.ctx ()) fmt) config Finding.Precision_check
+      ~check:(check fmt) k
   in
   let outputs =
     Hashtbl.fold (fun s (c : cell) acc -> (s, (c.lo, c.hi), inflate c.err) :: acc) streams []
@@ -574,36 +380,25 @@ type choice = {
   tried : (Numfmt.t * float) list;
 }
 
-let default_budget () =
-  match Sys.getenv_opt "PICACHU_ERROR_BUDGET" with
-  | Some s -> ( match float_of_string_opt s with Some b when b > 0.0 -> b | _ -> 1e-2)
-  | None -> 1e-2
+let default_budget = 1e-2
 
-let select_format ?config ?budget ?(candidates = Numfmt.catalogue)
-    (k : Kernel.t) =
-  let budget = match budget with Some b -> b | None -> default_budget () in
+let select_format ?config ?(budget = default_budget)
+    ?(candidates = Numfmt.catalogue) (k : Kernel.t) =
+  if not (budget > 0.0) then
+    invalid_arg (Printf.sprintf "Precision.select_format: budget %g is not positive" budget);
   let tried =
     List.map (fun f -> (f, (analyze ?config ~fmt:f k).bound)) candidates
   in
-  match List.find_opt (fun (_, b) -> b <= budget) tried with
-  | Some (fmt, bound) ->
-      { kernel = k.Kernel.name; budget; fmt; bound; fallback = false; tried }
-  | None ->
-      (* nothing proves the budget: fall back to the best proven bound, or
-         to the widest candidate when no bound is finite at all *)
-      let best =
-        List.fold_left
-          (fun acc (f, b) ->
-            match acc with
-            | Some (_, bb) when bb <= b -> acc
-            | _ when Float.is_finite b -> Some (f, b)
-            | _ -> acc)
-          None tried
-      in
-      let fmt, bound =
-        match best with
-        | Some fb -> fb
-        | None -> (
-            match List.rev tried with fb :: _ -> fb | [] -> (Numfmt.Fp32, infinity))
-      in
-      { kernel = k.Kernel.name; budget; fmt; bound; fallback = true; tried }
+  let (fmt, bound), fallback =
+    match List.find_opt (fun (_, b) -> b <= budget) tried with
+    | Some fb -> (fb, false)
+    | None -> (
+        (* nothing proves the budget: fall back to the best proven bound, or
+           to the widest candidate when no bound is finite at all *)
+        let better (f, b) (f', b') = if b <= b' then (f, b) else (f', b') in
+        match (List.filter (fun (_, b) -> Float.is_finite b) tried, List.rev tried) with
+        | fb :: rest, _ -> (List.fold_left better fb rest, true)
+        | [], widest :: _ -> (widest, true)
+        | [], [] -> ((Numfmt.Fp32, infinity), true))
+  in
+  { kernel = k.Kernel.name; budget; fmt; bound; fallback; tried }

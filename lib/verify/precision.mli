@@ -5,8 +5,9 @@
     (the dataflow evaluated in exact real arithmetic on the same quantized
     inputs) and an error radius bounding [|finite - ideal|] for a machine
     that rounds every computed data-path result through a {!Numfmt} format.
-    Loops iterate to a trip-bounded accumulating-join fixpoint exactly like
-    {!Range}; every quantized op contributes one fresh rounding quantum at
+    This is a domain of the {!Absint} loop-fixpoint engine, the same
+    engine {!Range} runs over intervals; every quantized op contributes one
+    fresh rounding quantum at
     its proven magnitude, and an op whose finite value may leave the format
     loses its bound (reported as [prec-overflow] / [prec-unbounded]).
 
@@ -19,7 +20,7 @@
 
 module Numfmt = Picachu_numerics.Numfmt
 
-type config = {
+type config = Absint.config = {
   stream_ranges : (string * (float * float)) list;
   default_stream : float * float;
   default_scalar : float * float;
@@ -27,8 +28,8 @@ type config = {
 }
 
 val default_config : config
-(** Activations in [[-2, 2]], trips up to 1024 — aligned with
-    {!Range.default_config}. *)
+(** {!Absint.default_config}: activations in [[-2, 2]], trips up to 1024 —
+    the same ranges as {!Range.default_config}. *)
 
 val quantized : Picachu_ir.Op.t -> bool
 (** Whether the finite machine rounds this op's result through the lane
@@ -66,8 +67,8 @@ type choice = {
   tried : (Numfmt.t * float) list;  (** every candidate's proven bound *)
 }
 
-val default_budget : unit -> float
-(** [PICACHU_ERROR_BUDGET] when set to a positive float, else [1e-2]. *)
+val default_budget : float
+(** [1e-2]: the error budget {!select_format} uses when given none. *)
 
 val select_format :
   ?config:config ->
@@ -78,4 +79,5 @@ val select_format :
 (** Walk [candidates] (default {!Numfmt.catalogue}, cheapest first) and
     choose the first whose proven bound is within the budget; otherwise
     fall back to the best-proven (or widest) candidate with
-    [fallback = true]. *)
+    [fallback = true].  Raises [Invalid_argument] when [budget] is NaN or
+    not positive. *)

@@ -3,9 +3,9 @@
     The INT16 execution lanes evaluate the Taylor-expansion kernels in
     fixed point (§4.2.2); a value whose dynamic range leaves the Q format
     saturates, and one far below a quantum flushes to zero.  This pass
-    abstractly executes a kernel over intervals — loads drawn from
-    configured per-stream ranges, loop-carried phis iterated to a joined
-    fixpoint bounded by the maximum trip count — and reports every
+    is the interval domain of the {!Absint} loop-fixpoint engine — loads
+    drawn from configured per-stream ranges, loop-carried phis iterated to
+    a joined fixpoint bounded by the maximum trip count — and reports every
     instruction whose value interval escapes the representable range
     ([fx-overflow] / [fx-unbounded]), may divide by zero ([div-by-zero]),
     or sits entirely below one quantum ([fx-precision], informational).
@@ -14,9 +14,9 @@
     every data-path value representable for all inputs within the
     configured ranges, but a flagged kernel may still be exact on benign
     inputs (intervals do not track correlations, e.g. [x*x] is analyzed as
-    possibly negative).  The loop-control skeleton (induction variable,
-    bound compare, branch) lives on the integer control path and is
-    excluded from format checks. *)
+    possibly negative).  The loop-control skeleton
+    ({!Absint.skeleton_ids}: induction variable, bound compare, branch)
+    lives on the integer control path and is excluded from format checks. *)
 
 type itv = { lo : float; hi : float }
 
@@ -35,12 +35,6 @@ val binop_i : Picachu_ir.Op.binop -> itv -> itv -> itv
     tight endpoint quotients; a divisor with zero as one endpoint keeps the
     finite bound from its nonzero end (half-bounded result) instead of
     widening to top. *)
-
-val skeleton_ids : Picachu_ir.Instr.t array -> int list
-(** Instruction ids of the loop-control skeleton (branch, bound compare,
-    induction increment/phi and the trip-count register) — the integer
-    control path excluded from data-path format checks.  Shared with the
-    precision analyzer. *)
 
 type config = {
   fmt : Picachu_numerics.Fixed_point.fmt;  (** the checked Q format *)

@@ -207,9 +207,26 @@ let prop_verifier_oracle =
               | [] -> ()
               | f :: _ -> QCheck.Test.fail_reportf "verify: %s" (Finding.to_string f))
             c.Compiler.loops;
-          (* the range analysis must terminate and never crash, whatever the
-             generator dreamt up *)
-          ignore (Picachu_verify.Range.analyze k : Finding.t list);
+          (* both abstract interpreters must terminate and never crash,
+             whatever the generator dreamt up *)
+          let module Precision = Picachu_verify.Precision in
+          let must_finish name f =
+            match f () with
+            | () -> ()
+            | exception e ->
+                QCheck.Test.fail_reportf "%s raised %s" name (Printexc.to_string e)
+          in
+          must_finish "range" (fun () ->
+              ignore (Picachu_verify.Range.analyze k : Finding.t list));
+          List.iter
+            (fun fmt ->
+              must_finish
+                ("precision " ^ Picachu_numerics.Numfmt.name fmt)
+                (fun () -> ignore (Precision.analyze ~fmt k : Precision.result)))
+            [
+              Picachu_numerics.Numfmt.Fp16;
+              Picachu_numerics.Numfmt.fixed ~total_bits:12 ~frac_bits:8;
+            ];
           true)
 
 let prop_fusion_structural_on_random =

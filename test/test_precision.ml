@@ -137,6 +137,38 @@ let test_select_budget_monotone () =
   Alcotest.(check bool) "looser budget, narrower-or-equal format" true
     (Numfmt.bits loose.Precision.fmt <= Numfmt.bits tight.Precision.fmt)
 
+let test_budget_rejects_non_positive () =
+  (* a NaN or non-positive budget is a caller error, not a budget every
+     candidate misses *)
+  let k = List.find (fun k -> k.Kernel.name = "relu") roster in
+  List.iter
+    (fun budget ->
+      List.iter
+        (fun (name, select) ->
+          match select k with
+          | (_ : Precision.choice) -> Alcotest.failf "%s accepted budget %g" name budget
+          | exception Invalid_argument _ -> ())
+        [
+          ("Precision.select_format", fun k -> Precision.select_format ~budget k);
+          ("Compiler.select_format", fun k -> Compiler.select_format ~budget k);
+        ])
+    [ Float.nan; 0.0; -0.0; -1e-3; Float.neg_infinity ]
+
+let test_budget_ignores_environment () =
+  (* only the CLI reads $PICACHU_ERROR_BUDGET; the library default is the
+     constant 1e-2 whatever the process environment says *)
+  let k = List.find (fun k -> k.Kernel.name = "gelu") roster in
+  let saved = Sys.getenv_opt "PICACHU_ERROR_BUDGET" in
+  Unix.putenv "PICACHU_ERROR_BUDGET" "0.5";
+  let c =
+    Fun.protect
+      ~finally:(fun () ->
+        Unix.putenv "PICACHU_ERROR_BUDGET" (Option.value saved ~default:""))
+      (fun () -> Compiler.select_format k)
+  in
+  Alcotest.(check (float 0.0)) "default budget" 1e-2 c.Precision.budget;
+  Alcotest.(check string) "chosen as under 1e-2" "q4.8" (Numfmt.name c.Precision.fmt)
+
 (* ------------------------------------------------------ execution rounding *)
 
 let run_arrays k fmt seed =
@@ -262,6 +294,49 @@ let test_findings_deterministic_across_pools () =
         reference (digest size))
     [ 2; 4 ]
 
+(* ---------------------------------------------------- behaviour golden *)
+
+(* Both analyzers over the Taylor and NLI rosters plus the extras: range
+   findings under Q8.8 and Q4.8, and the precision result under every
+   catalogue format (bound and per-stream outputs to the last bit,
+   findings with their locations).  Pinned by digest, so any change to the
+   shared loop-fixpoint engine or to either domain shows up here. *)
+let analysis_transcript () =
+  let b = Buffer.create (1 lsl 16) in
+  let line fmt = Printf.bprintf b (fmt ^^ "\n") in
+  let findings fs =
+    List.iter (fun f -> line "  %s" (Finding.to_string f)) (Finding.sort fs)
+  in
+  List.iter
+    (fun (k : Kernel.t) ->
+      line "kernel %s" k.Kernel.name;
+      List.iter
+        (fun (name, config) ->
+          line " range %s" name;
+          findings (Range.analyze ~config k))
+        [
+          ("q8.8", Range.default_config);
+          ("q4.8", { Range.default_config with Range.fmt = q4_8 });
+        ];
+      List.iter
+        (fun fmt ->
+          let r = Precision.analyze ~fmt k in
+          line " precision %s bound %h" (Numfmt.name fmt) r.Precision.bound;
+          List.iter
+            (fun (s, (lo, hi), e) -> line "  out %s [%h, %h] err %h" s lo hi e)
+            r.Precision.outputs;
+          findings r.Precision.findings)
+        Numfmt.catalogue)
+    (Kernels.all Kernels.picachu @ Kernels.all Kernels.picachu_nli
+    @ Kernels.extras Kernels.picachu
+    @ Kernels.extras Kernels.picachu_nli);
+  Buffer.contents b
+
+let test_analysis_golden () =
+  Alcotest.(check string)
+    "roster x catalogue digest" "2635dce10e2b550bdefe58aa8235bb8d"
+    (Digest.to_hex (Digest.string (analysis_transcript ())))
+
 let suite =
   [
     ( "precision",
@@ -279,6 +354,10 @@ let suite =
         Alcotest.test_case "softmax falls back honestly" `Quick
           test_select_softmax_fallback;
         Alcotest.test_case "budget monotone" `Quick test_select_budget_monotone;
+        Alcotest.test_case "non-positive budget rejected" `Quick
+          test_budget_rejects_non_positive;
+        Alcotest.test_case "default budget ignores environment" `Quick
+          test_budget_ignores_environment;
         Alcotest.test_case "rounder quantizes outputs" `Quick
           test_rounder_quantizes_outputs;
         Alcotest.test_case "claims cover roster" `Quick test_claims_cover_roster;
@@ -287,5 +366,7 @@ let suite =
         soundness_at_pool 4;
         Alcotest.test_case "deterministic across pools" `Quick
           test_findings_deterministic_across_pools;
+        Alcotest.test_case "range/precision roster golden" `Quick
+          test_analysis_golden;
       ] );
   ]
