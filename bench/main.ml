@@ -37,6 +37,10 @@ let softmax_dfg =
     (Fuse.fuse
        (Dfg.of_loop (List.nth (Kernels.softmax Kernels.picachu).Picachu_ir.Kernel.loops 1)))
 
+(* the single-replica, fault-free serving configuration of the serve:*
+   benches: 4 continuous-batching slots, no front-end defenses *)
+let one_replica = Cluster.default_config ~replicas:1 ~slots:4 ~defenses:Cluster.no_defenses ()
+
 let bench_tests =
   [
     (* fig1: the A100 roofline over a full workload *)
@@ -184,9 +188,9 @@ let bench_tests =
       (Staged.stage
          (let k = Kernels.gelu Kernels.picachu in
           fun () -> ignore (Compiler.select_format ~budget:1e-2 k)));
-    (* serve: one full traffic trace through the discrete-event scheduler
+    (* serve: one full traffic trace through a single fault-free replica
        (cost source built once — the per-bucket memo and the compile cache
-       leave the scheduler's own event loop as the measured work) *)
+       leave the step engine's own event loop as the measured work) *)
     Test.make ~name:"serve:continuous-llama7b"
       (Staged.stage
          (let cost =
@@ -196,7 +200,7 @@ let bench_tests =
             Scheduler.trace (Scheduler.default_trace ~seed:3 ~rps:8.0 ~requests:24 ())
           in
           fun () ->
-            ignore (Scheduler.run ~slots:4 ~policy:Scheduler.Continuous ~cost trace)));
+            ignore (Cluster.run ~policy:Scheduler.Continuous one_replica ~cost trace)));
     Test.make ~name:"serve:static-llama7b"
       (Staged.stage
          (let cost =
@@ -206,7 +210,7 @@ let bench_tests =
             Scheduler.trace (Scheduler.default_trace ~seed:3 ~rps:8.0 ~requests:24 ())
           in
           fun () ->
-            ignore (Scheduler.run ~slots:4 ~policy:(Scheduler.Static 4) ~cost trace)));
+            ignore (Cluster.run ~policy:(Scheduler.Static 4) one_replica ~cost trace)));
     (* serve: the fault-free cluster path — 8 replicas behind the
        power-of-two router, so this times the event queue + routing
        machinery on top of the per-replica step model *)

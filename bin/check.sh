@@ -77,12 +77,17 @@ echo "== fault campaign smoke =="
 dune exec examples/fault_campaign.exe -- 0.002 7
 
 echo "== serving smoke =="
-# a small fixed-seed traffic trace through the discrete-event scheduler;
-# the run must exit 0 and emit a non-empty percentile table
-serve_out="$(dune exec bin/picachu_cli.exe -- serve llama2-7b --rps 8 --requests 12 --policy continuous --seed 7)"
-echo "$serve_out"
-echo "$serve_out" | grep -q "ttft (ms)" || {
-  echo "serve smoke: percentile table missing"; exit 1; }
+# a small fixed-seed traffic trace on one replica under each batching
+# policy: the run must exit 0, emit a non-empty percentile table, and
+# answer every request (a hang or a lost request fails the gate)
+for policy in continuous static; do
+  serve_out="$(dune exec bin/picachu_cli.exe -- serve llama2-7b --rps 8 --requests 12 --policy "$policy" --seed 7)"
+  echo "$serve_out"
+  echo "$serve_out" | grep -q "ttft (ms)" || {
+    echo "serve smoke ($policy): percentile table missing"; exit 1; }
+  echo "$serve_out" | grep -q "completed 12  dropped 0" || {
+    echo "serve smoke ($policy): requests lost"; exit 1; }
+done
 
 echo "== cluster smoke =="
 # 3 fault-free replicas behind the round-robin router must answer every

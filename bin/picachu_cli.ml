@@ -579,17 +579,19 @@ let serve_cmd =
         exit 1
     in
     let spec = Scheduler.default_trace ~seed ~rps ~requests () in
-    let fleet =
-      try
-        Scheduler.serve ~slots ~queue_capacity:queue ~policy
-          (Simulator.default_config ()) m spec
+    let cfg =
+      Cluster.default_config ~replicas:1 ~slots ~queue_capacity:queue
+        ~defenses:Cluster.no_defenses ()
+    in
+    let report =
+      try Cluster.serve ~policy cfg (Simulator.default_config ()) m spec
       with Invalid_argument msg ->
         Printf.eprintf "%s\n" msg;
         exit 1
     in
     Printf.printf "%s  rps=%g requests=%d policy=%s slots=%d queue=%d seed=%d\n" name
       rps requests (Scheduler.policy_name policy) slots queue seed;
-    Report.serve_table fleet
+    Report.serve_table report
   in
   Cmd.v
     (Cmd.info "serve"

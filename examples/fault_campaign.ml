@@ -4,8 +4,7 @@
    that every request is still answered (availability 1.0).
 
    Run with: dune exec examples/fault_campaign.exe [rate] [seed]
-   (defaults: rate 0.001, seed 42; PICACHU_FAULT_RATE / PICACHU_FAULT_SEED
-   are honored when no arguments are given) *)
+   (defaults: rate 0.001, seed 42) *)
 
 module Fault = Picachu_cgra.Fault
 module Arch = Picachu_cgra.Arch
@@ -15,9 +14,7 @@ open Picachu
 let () =
   let fault =
     match Sys.argv with
-    | [| _ |] ->
-        let f = Fault.of_env () in
-        if Fault.enabled f then f else Fault.uniform ~seed:42 0.001
+    | [| _ |] -> Fault.uniform ~seed:42 0.001
     | [| _; rate |] -> Fault.uniform ~seed:42 (float_of_string rate)
     | [| _; rate; seed |] ->
         Fault.uniform ~seed:(int_of_string seed) (float_of_string rate)

@@ -17,25 +17,6 @@ let uniform ?(seed = 0) r =
 let enabled c =
   c.rf_rate > 0.0 || c.fu_rate > 0.0 || c.lut_rate > 0.0 || c.noc_rate > 0.0
 
-let of_env () =
-  let rate =
-    match Sys.getenv_opt "PICACHU_FAULT_RATE" with
-    | None -> 0.0
-    | Some s -> (
-        match float_of_string_opt s with
-        | Some r when r >= 0.0 && r <= 1.0 -> r
-        | _ -> invalid_arg "PICACHU_FAULT_RATE: expected a float in [0, 1]")
-  in
-  let seed =
-    match Sys.getenv_opt "PICACHU_FAULT_SEED" with
-    | None -> 0
-    | Some s -> (
-        match int_of_string_opt s with
-        | Some i -> i
-        | None -> invalid_arg "PICACHU_FAULT_SEED: expected an integer")
-  in
-  uniform ~seed rate
-
 type counts = { rf : int; fu : int; lut : int; noc : int }
 
 let no_faults = { rf = 0; fu = 0; lut = 0; noc = 0 }

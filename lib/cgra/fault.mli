@@ -43,11 +43,6 @@ val uniform : ?seed:int -> float -> config
 val enabled : config -> bool
 (** True iff any rate is positive. *)
 
-val of_env : unit -> config
-(** [PICACHU_FAULT_RATE] (non-negative float, default 0 — disabled) applied
-    uniformly, seeded by [PICACHU_FAULT_SEED] (integer, default 0).  Raises
-    [Invalid_argument] on malformed values. *)
-
 type counts = { rf : int; fu : int; lut : int; noc : int }
 
 val total : counts -> int

@@ -1,25 +1,27 @@
-(* Fault-tolerant multi-replica cluster serving, as a deterministic
-   discrete-event simulation.
+(* Multi-replica serving, as a deterministic discrete-event simulation —
+   the repo's one serving step engine.
 
-   N replicas each run the Scheduler step model (continuous batching: one
-   decode token per active request per step, slowest member gates the step,
-   freed slots refill at step boundaries, a joiner's prefill overlaps the
-   step it joins).  A front-end router dispatches arrivals to replicas and
+   Each replica runs the lockstep step model: one decode token per active
+   request per step, and the slowest member gates the step.  The batching
+   policy only decides how many queued requests a replica pops at a step
+   boundary.  Under [Continuous] it pops up to its free slots, and a
+   joiner's prefill overlaps the step it joins.  Under [Static b] an idle
+   replica pops a batch of [b] once that many are queued (or every arrival
+   has been dispatched), prefills it together, and decodes it until every
+   member finishes.  A front-end router dispatches arrivals to replicas and
    defends against replica failures with per-request timeouts, bounded
    retries, hedged requests, per-replica circuit breakers, and
    health-check-driven ejection.
 
-   Faithfulness to the Scheduler: a 1-replica, zero-fault, defense-free
-   cluster replays Scheduler.run's trace bit-identically.  The event
-   encoding preserves the lockstep loop's exact float arithmetic and list
-   ordering: a Step event at boundary time T first finishes the step that
-   ends at T (increment l_done on the live set, complete finished members,
-   stamp joiners' TTFT, live <- continuing @ joiners — the Scheduler's
-   statement order), then begins the next step (pop joiners, fold the step
-   duration with the same Float.max chain, schedule the next boundary at
-   T +. dur).  Arrivals are pushed into the event queue before any Step
-   event exists, so an arrival at exactly a boundary time dequeues first —
-   the event-order twin of admit_until's [<=].
+   Event order: a Step event at boundary time T first finishes the step
+   that ends at T (increment done counts on the live set, stamp joiners'
+   TTFT, live <- continuing @ joiners, complete finished members), then
+   begins the next step (pop joiners, fold the step duration with one
+   Float.max chain, schedule the next boundary at T +. dur).  Arrivals are
+   pushed into the event queue before any Step event exists, one event per
+   distinct arrival instant, so an arrival at exactly a boundary time
+   dequeues first.  A group of tied arrivals is dispatched whole before any
+   replica is kicked, so tied siblings share a first step.
 
    Determinism: every stream is seeded (arrival trace, per-replica failure
    renewal processes, front-end jitter), the event queue breaks time ties
@@ -199,7 +201,7 @@ let accounting_ok r = r.answered + r.dropped + r.failed = r.arrivals
 (* ----------------------------------------------------------------- state *)
 
 type ev =
-  | Arrival of int  (* request index in the sorted trace *)
+  | Arrival of int * int  (* tied arrivals: sorted-trace indices [lo, hi) *)
   | Step of int * int  (* replica id, generation (stale guard) *)
   | Fail of int  (* replica id: next failure of the renewal process *)
   | Recover of int
@@ -221,9 +223,8 @@ type req = {
   mutable hedge_attempt : int;  (* attempt id of the hedge twin, -1 if none *)
 }
 
-(* one request attempt active on a replica — the Scheduler's [live] record
-   plus the (request, attempt) identity the front-end needs for routing
-   completions and cancellations *)
+(* one request attempt active on a replica, with the (request, attempt)
+   identity the front-end needs for routing completions and cancellations *)
 type alive = {
   al_req : int;
   al_attempt : int;
@@ -259,10 +260,13 @@ let exp_draw rng mean = -.mean *. log (1.0 -. Rng.float rng)
 let max_crash_requeues = 10_000
 let max_redispatches = 1_000
 
-let run cfg ~(cost : Scheduler.cost_source) arrivals =
+let run ?(policy = Scheduler.Continuous) cfg ~(cost : Scheduler.cost_source) arrivals =
   if cfg.replicas < 1 then invalid_arg "Cluster.run: replicas must be positive";
   if cfg.slots < 1 then invalid_arg "Cluster.run: slots must be positive";
   if cfg.queue_capacity < 1 then invalid_arg "Cluster.run: queue_capacity must be positive";
+  (match policy with
+  | Scheduler.Static b when b < 1 -> invalid_arg "Cluster.run: batch size must be positive"
+  | _ -> ());
   if profile_active cfg.profile && not (cfg.profile.mttr_s > 0.0) then
     invalid_arg "Cluster.run: mttr must be positive when faults are on";
   let d = cfg.defenses in
@@ -317,10 +321,17 @@ let run cfg ~(cost : Scheduler.cost_source) arrivals =
   in
   let frontend_rng = Rng.create cfg.seed in
   let q : ev Event_queue.t = Event_queue.create () in
-  (* arrivals enter the queue first: on a time tie with any event scheduled
-     later (every Step is), the arrival's smaller seq dequeues first — the
-     admit-before-pop order the Scheduler's admit_until gives *)
-  Array.iteri (fun i (a : Scheduler.arrival) -> Event_queue.push q ~at:a.Scheduler.at (Arrival i)) arrivals;
+  (* arrivals enter the queue first, one event per distinct instant: on a
+     time tie with any event scheduled later (every Step is), the arrival's
+     smaller seq dequeues first, so a boundary pops what arrived at it *)
+  let lo = ref 0 in
+  for i = 1 to n do
+    if i = n || Float.compare arrivals.(i).Scheduler.at arrivals.(!lo).Scheduler.at <> 0
+    then begin
+      Event_queue.push q ~at:arrivals.(!lo).Scheduler.at (Arrival (!lo, i));
+      lo := i
+    end
+  done;
   if profile_active cfg.profile then begin
     Array.iter
       (fun r -> Event_queue.push q ~at:(exp_draw r.frng cfg.profile.mttf_s) (Fail r.rid))
@@ -329,7 +340,7 @@ let run cfg ~(cost : Scheduler.cost_source) arrivals =
       Event_queue.push q ~at:d.health_interval_s Health
   end;
   (* tallies *)
-  let resolved = ref 0 in
+  let resolved = ref 0 and arrived = ref 0 in
   let answered = ref 0 and dropped = ref 0 and failed = ref 0 in
   let crashes = ref 0 and hangs = ref 0 and slowdowns = ref 0 in
   let requeued = ref 0 and retries = ref 0 and timeouts = ref 0 in
@@ -475,8 +486,12 @@ let run cfg ~(cost : Scheduler.cost_source) arrivals =
       0.0 live
   in
   let begin_step t r =
-    let free = cfg.slots - List.length r.live in
-    let joiners = List.map admit (pop_queue r free) in
+    let take =
+      match policy with
+      | Scheduler.Continuous -> cfg.slots - List.length r.live
+      | Scheduler.Static b -> if r.live = [] && (r.qlen >= b || !arrived = n) then b else 0
+    in
+    let joiners = List.map admit (pop_queue r take) in
     r.joining <- joiners;
     if r.live = [] && joiners = [] then r.stepping <- false
     else begin
@@ -526,6 +541,10 @@ let run cfg ~(cost : Scheduler.cost_source) arrivals =
     breaker_admit r;
     if d.timeout_s < Float.infinity then
       Event_queue.push q ~at:(t +. d.timeout_s) (Timeout (req_i, attempt));
+    attempt
+  in
+  let dispatch t r req_i =
+    let attempt = enqueue t r req_i in
     kick t r;
     attempt
   in
@@ -543,7 +562,7 @@ let run cfg ~(cost : Scheduler.cost_source) arrivals =
     let rq = reqs.(req_i) in
     if rq.status = Waiting && rq.outstanding = [] then
       match choose ~need_space:true t with
-      | Some r -> ignore (enqueue t r req_i)
+      | Some r -> ignore (dispatch t r req_i)
       | None ->
           if rq.redispatches >= max_redispatches then fail_request req_i
           else begin
@@ -603,7 +622,8 @@ let run cfg ~(cost : Scheduler.cost_source) arrivals =
   in
   let initial_dispatch t req_i =
     (* admission control is per replica: the router's pick is final, and a
-       full queue sheds the arrival — the Scheduler's drop semantics *)
+       full queue sheds the arrival.  No kick here: the arrival handler
+       kicks once its whole group is queued *)
     match choose t with
     | None -> redispatch t req_i  (* whole cluster dark: back off, retry *)
     | Some r ->
@@ -612,13 +632,7 @@ let run cfg ~(cost : Scheduler.cost_source) arrivals =
           incr dropped;
           incr resolved
         end
-        else begin
-          ignore (enqueue t r req_i);
-          if d.hedge then
-            match hedge_delay () with
-            | Some delay -> Event_queue.push q ~at:(t +. delay) (Hedge req_i)
-            | None -> ()
-        end
+        else ignore (enqueue t r req_i)
   in
   (* --------------------------------------------------------- event loop *)
   while !resolved < n && not (Event_queue.is_empty q) do
@@ -626,15 +640,27 @@ let run cfg ~(cost : Scheduler.cost_source) arrivals =
     | None -> ()
     | Some (t, ev) -> (
         match ev with
-        | Arrival i -> if reqs.(i).status = Waiting then initial_dispatch t i
+        | Arrival (lo, hi) ->
+            for i = lo to hi - 1 do
+              initial_dispatch t i
+            done;
+            arrived := hi;
+            Array.iter (kick t) replicas;
+            if d.hedge then
+              for i = lo to hi - 1 do
+                if reqs.(i).outstanding <> [] then
+                  Option.iter
+                    (fun delay -> Event_queue.push q ~at:(t +. delay) (Hedge i))
+                    (hedge_delay ())
+              done
         | Step (rid, gen) ->
             let r = replicas.(rid) in
             if gen = r.gen && r.up then begin
-              (* the step that began at the previous boundary ends at t —
-                 the Scheduler loop's statement order, except live updates
-                 before completions run: a completion can cancel a sibling
-                 attempt on this very replica, and that cancellation must
-                 land on the new live list, not be undone by it *)
+              (* the step that began at the previous boundary ends at t;
+                 live updates before completions run: a completion can
+                 cancel a sibling attempt on this very replica, and that
+                 cancellation must land on the new live list, not be
+                 undone by it *)
               List.iter (fun l -> l.al_done <- l.al_done + 1) r.live;
               let finished, continuing =
                 List.partition
@@ -705,7 +731,7 @@ let run cfg ~(cost : Scheduler.cost_source) arrivals =
                 rq.deadline_retries <- rq.deadline_retries + 1;
                 incr retries;
                 match choose ~need_space:true ~exclude:rid t with
-                | Some r -> ignore (enqueue t r req_i)
+                | Some r -> ignore (dispatch t r req_i)
                 | None -> redispatch t req_i
               end
               else if rq.outstanding = [] then fail_request req_i
@@ -721,7 +747,7 @@ let run cfg ~(cost : Scheduler.cost_source) arrivals =
               match choose ~need_space:true ~exclude:current_rid t with
               | Some r when r.rid <> current_rid ->
                   incr hedges;
-                  rq.hedge_attempt <- enqueue t r req_i
+                  rq.hedge_attempt <- dispatch t r req_i
               | _ -> ()  (* nowhere distinct to hedge: skip, don't re-arm *)
             end
         | Redispatch req_i -> redispatch t req_i)
@@ -774,5 +800,5 @@ let run cfg ~(cost : Scheduler.cost_source) arrivals =
       };
   }
 
-let serve ?budget ?gpu cfg sim m spec =
-  run cfg ~cost:(Scheduler.robust_source ?budget ?gpu sim m) (Scheduler.trace spec)
+let serve ?policy ?budget ?gpu cfg sim m spec =
+  run ?policy cfg ~cost:(Scheduler.robust_source ?budget ?gpu sim m) (Scheduler.trace spec)

@@ -1,9 +1,10 @@
-(** Fault-tolerant multi-replica cluster serving.
+(** Fault-tolerant multi-replica serving — the one serving step engine.
 
-    {!Scheduler} simulates one replica; production traffic runs N of them
-    behind a router, and replicas crash, hang, and slow down.  This module
-    hosts N copies of the Scheduler's continuous-batching step model inside
-    a deterministic discrete-event core ({!Event_queue}: binary heap,
+    {!Scheduler} describes the traffic (policies, traces, cost sources,
+    result records); this module runs it.  Production traffic runs N
+    replicas behind a router, and replicas crash, hang, and slow down.
+    This module hosts N copies of the lockstep step model, each under a
+    {!Scheduler.policy}, inside a deterministic discrete-event core ({!Event_queue}: binary heap,
     O(log n) per event, stable (time, seq) tie-breaking), adds a seeded
     replica-level failure model (crash / hang-straggler / transient
     slowdown with MTTF/MTTR renewal), and defends at the front end with
@@ -17,13 +18,28 @@
     ({!Picachu_error.Deadline_exceeded}) — the typed taxonomy, not strings,
     drives the policy.
 
-    {2 Fidelity and determinism}
+    {2 The step model}
 
-    A 1-replica, zero-fault, defense-free cluster replays
-    {!Scheduler.run}'s trace bit-identically (the PR 5 golden-trace MD5
-    holds over [Cluster.run]'s completions).  Every stream is seeded and
-    all arithmetic is sequential, so traces are bit-identical across
-    [PICACHU_DOMAINS] pool sizes and repeat runs at every fault profile. *)
+    One decode step emits one token for every active request on a replica,
+    and the slowest active member gates the step.  The policy only decides
+    how many queued requests a replica pops at a step boundary.  Under
+    [Continuous], freed slots refill at every boundary and a joiner's
+    prefill overlaps the step it joins.  Under [Static b], an idle replica
+    pops [b] requests once [b] are queued or every arrival has been
+    dispatched; the batch prefills together (its first step is the slowest
+    member's prefill) and decodes until {e every} member finishes before
+    the next batch forms — the static-batch TTFT penalty that the
+    continuous policy removes.  Arrivals that share a timestamp are
+    dispatched as one group before any replica starts a step, so tied
+    requests join the same first step.
+
+    {2 Determinism}
+
+    A 1-replica, zero-fault, defense-free cluster is the plain serving
+    simulator; the seed-7 llama2-7b golden-trace MD5 is pinned over it.
+    Every stream is seeded and all arithmetic is sequential, so traces are
+    bit-identical across [PICACHU_DOMAINS] pool sizes and repeat runs at
+    every fault profile. *)
 
 module Mz = Picachu_llm.Model_zoo
 
@@ -145,12 +161,23 @@ val accounting_ok : report -> bool
 (** The availability identity: answered + dropped + failed = arrivals.
     Holds for every scenario — asserted by the chaos CI smoke. *)
 
-val run : config -> cost:Scheduler.cost_source -> Scheduler.arrival list -> report
-(** Simulate a trace through the cluster.  Raises [Invalid_argument] on
-    non-positive knobs or a malformed request; never raises on overload —
-    shed and lost load is reported, not thrown. *)
+val run :
+  ?policy:Scheduler.policy ->
+  config ->
+  cost:Scheduler.cost_source ->
+  Scheduler.arrival list ->
+  report
+(** Simulate a trace through the cluster, every replica batching under
+    [policy] (default [Continuous]; [slots] bounds only the continuous
+    batch).  A trace with no completions (empty, or overload dropping
+    everything) returns a well-formed report with zero percentiles and the
+    true [dropped] count.  Raises [Invalid_argument] on non-positive knobs
+    (replicas, slots, queue capacity, static batch size) or a malformed
+    request; never raises on overload — shed and lost load is reported,
+    not thrown. *)
 
 val serve :
+  ?policy:Scheduler.policy ->
   ?budget:int ->
   ?gpu:Picachu_llm.Gpu_model.t ->
   config ->

@@ -34,41 +34,38 @@ let fmt_delta v =
   else if v > 0.0 then Printf.sprintf "+%.2f" v
   else Printf.sprintf "%.2f" v
 
-(* Fleet-level serving metrics: the percentile table plus one summary line.
-   Milliseconds for the per-request rows — tail latencies are the headline
-   number, and sub-second values render illegibly in seconds. *)
-let serve_table (f : Scheduler.fleet) =
+(* Serving tables share their head and tail: the TTFT/latency percentile
+   table, in milliseconds (tail latencies are the headline number, and
+   sub-second values render illegibly in seconds), and the per-tier tally. *)
+let percentile_table (r : Cluster.report) =
   let ms v = Printf.sprintf "%.2f" (1000.0 *. v) in
+  let row name (p : Scheduler.pct) =
+    [ name; ms p.Scheduler.p50; ms p.Scheduler.p95; ms p.Scheduler.p99 ]
+  in
   table
     ~header:[ "metric"; "p50"; "p95"; "p99" ]
-    [
-      [ "ttft (ms)"; ms f.Scheduler.ttft.Scheduler.p50; ms f.Scheduler.ttft.Scheduler.p95;
-        ms f.Scheduler.ttft.Scheduler.p99 ];
-      [ "latency (ms)"; ms f.Scheduler.latency.Scheduler.p50;
-        ms f.Scheduler.latency.Scheduler.p95; ms f.Scheduler.latency.Scheduler.p99 ];
-    ];
-  Printf.printf "completed %d  dropped %d  makespan %.3f s  throughput %.1f tok/s\n"
-    (List.length f.Scheduler.completions)
-    f.Scheduler.dropped f.Scheduler.makespan_s f.Scheduler.throughput_tps;
+    [ row "ttft (ms)" r.Cluster.ttft; row "latency (ms)" r.Cluster.latency ]
+
+let tiers_line (r : Cluster.report) =
   Printf.printf "tiers: %s\n"
     (String.concat "  "
        (List.map
           (fun (t, k) -> Printf.sprintf "%s=%d" (Serving.tier_name t) k)
-          f.Scheduler.tiers))
+          r.Cluster.tiers))
+
+(* Single-replica serving: the percentile table plus one summary line. *)
+let serve_table (r : Cluster.report) =
+  percentile_table r;
+  Printf.printf "completed %d  dropped %d  makespan %.3f s  throughput %.1f tok/s\n"
+    (List.length r.Cluster.completions)
+    r.Cluster.dropped r.Cluster.makespan_s r.Cluster.goodput_tps;
+  tiers_line r
 
 (* Cluster-level serving metrics: the percentile table, the availability
    accounting identity (printed so CI can grep it), fault and defense
    counters, and the per-replica completion spread. *)
 let cluster_table (r : Cluster.report) =
-  let ms v = Printf.sprintf "%.2f" (1000.0 *. v) in
-  table
-    ~header:[ "metric"; "p50"; "p95"; "p99" ]
-    [
-      [ "ttft (ms)"; ms r.Cluster.ttft.Scheduler.p50; ms r.Cluster.ttft.Scheduler.p95;
-        ms r.Cluster.ttft.Scheduler.p99 ];
-      [ "latency (ms)"; ms r.Cluster.latency.Scheduler.p50;
-        ms r.Cluster.latency.Scheduler.p95; ms r.Cluster.latency.Scheduler.p99 ];
-    ];
+  percentile_table r;
   Printf.printf "arrivals %d  answered %d  dropped %d  failed %d  (identity %s)\n"
     r.Cluster.arrivals r.Cluster.answered r.Cluster.dropped r.Cluster.failed
     (if Cluster.accounting_ok r then "ok" else "VIOLATED");
@@ -88,11 +85,7 @@ let cluster_table (r : Cluster.report) =
     (String.concat "  "
        (Array.to_list
           (Array.mapi (fun i k -> Printf.sprintf "r%d=%d" i k) r.Cluster.served_per_replica)));
-  Printf.printf "tiers: %s\n"
-    (String.concat "  "
-       (List.map
-          (fun (t, k) -> Printf.sprintf "%s=%d" (Serving.tier_name t) k)
-          r.Cluster.tiers))
+  tiers_line r
 
 (* One-line mapper search-effort summary: raw attempt/backtrack totals plus
    the warm-start hit rate whenever any hints were consulted — the number

@@ -18,10 +18,10 @@ val fmt_pct : float -> string
 val fmt_delta : float -> string
 (** Signed small delta, paper Table 5/6 style: ["+0.05" / "-0.21" / "0.00"]. *)
 
-val serve_table : Scheduler.fleet -> unit
-(** Render a {!Scheduler.fleet}: the TTFT/latency percentile table (ms) and
-    a completed/dropped/makespan/throughput summary line plus the per-tier
-    tally. *)
+val serve_table : Cluster.report -> unit
+(** Render a single-replica {!Cluster.report}: the TTFT/latency percentile
+    table (ms), a completed/dropped/makespan/throughput summary line, and
+    the per-tier tally. *)
 
 val cluster_table : Cluster.report -> unit
 (** Render a {!Cluster.report}: percentile table (ms), the availability

@@ -1,16 +1,7 @@
-(* Deterministic discrete-event multi-request serving simulator.
-
-   Time advances in decode-step quanta: the engine executes one token for
-   every active request per step, and the slowest active member gates the
-   step (lockstep batching).  Under [Continuous], decode slots refill at
-   every step boundary as requests complete, and a newly admitted request's
-   prefill overlaps the step it joins (chunked-prefill abstracted to one
-   quantum); under [Static b], a batch of [b] requests is formed, prefilled
-   together, and decoded to completion before the next batch starts.
-
-   Everything is sequential float arithmetic over costs that are themselves
-   bit-identical across domain-pool sizes, so a trace replays exactly for
-   any [PICACHU_DOMAINS]. *)
+(* Serving traffic vocabulary: batching policies, seeded arrival traces,
+   per-request cost sources, and the per-request result records with their
+   percentile and tier summaries.  The step engine that consumes them is
+   [Cluster.run]. *)
 
 module Rng = Picachu_tensor.Rng
 module Stats = Picachu_tensor.Stats
@@ -121,180 +112,3 @@ let tier_tally completions =
       | 0 -> None
       | k -> Some (t, k))
     [ Serving.Fused; Serving.Baseline_cgra; Serving.Roofline ]
-
-type fleet = {
-  completions : completion list;
-  dropped : int;
-  makespan_s : float;
-  throughput_tps : float;
-  ttft : pct;
-  latency : pct;
-  tiers : (Serving.tier * int) list;
-}
-
-(* -------------------------------------------------------------- the sim *)
-
-type live = {
-  l_arr : arrival;
-  l_costs : Serving.phase_costs;
-  l_tier : Serving.tier;
-  mutable l_done : int;  (* decode tokens emitted *)
-  mutable l_ttft : float;  (* absolute first-token time *)
-}
-
-let run ?(slots = 8) ?(queue_capacity = 64) ~policy ~(cost : cost_source) arrivals =
-  if slots < 1 then invalid_arg "Scheduler.run: slots must be positive";
-  if queue_capacity < 1 then invalid_arg "Scheduler.run: queue_capacity must be positive";
-  (match policy with
-  | Static b when b < 1 -> invalid_arg "Scheduler.run: batch size must be positive"
-  | _ -> ());
-  let arrivals =
-    Array.of_list
-      (List.sort
-         (fun a b ->
-           match Float.compare a.at b.at with 0 -> Int.compare a.id b.id | c -> c)
-         arrivals)
-  in
-  Array.iter
-    (fun a ->
-      if a.request.Serving.prompt < 1 || a.request.Serving.generate < 1 then
-        invalid_arg "Scheduler.run: request")
-    arrivals;
-  let n = Array.length arrivals in
-  let next = ref 0 in
-  let queue = Queue.create () in
-  let dropped = ref 0 in
-  let admit_until t =
-    (* arrivals up to [t] enter the admission queue; a full queue drops *)
-    while !next < n && arrivals.(!next).at <= t do
-      if Queue.length queue >= queue_capacity then incr dropped
-      else Queue.add arrivals.(!next) queue;
-      incr next
-    done
-  in
-  let pop_queue k =
-    let rec go k acc =
-      if k = 0 || Queue.is_empty queue then List.rev acc
-      else go (k - 1) (Queue.pop queue :: acc)
-    in
-    go k []
-  in
-  let admit a =
-    let costs, tier = cost a.request in
-    { l_arr = a; l_costs = costs; l_tier = tier; l_done = 0; l_ttft = Float.nan }
-  in
-  let completions = ref [] in
-  let complete (l : live) t =
-    let gen = l.l_arr.request.Serving.generate in
-    completions :=
-      {
-        c_id = l.l_arr.id;
-        c_request = l.l_arr.request;
-        c_arrival_s = l.l_arr.at;
-        c_ttft_s = l.l_ttft -. l.l_arr.at;
-        c_latency_s = t -. l.l_arr.at;
-        c_tpot_s = (t -. l.l_ttft) /. float_of_int gen;
-        c_tier = l.l_tier;
-      }
-      :: !completions
-  in
-  let step_cost actives =
-    List.fold_left
-      (fun acc l ->
-        Float.max acc
-          (Serving.decode_cost l.l_costs (l.l_arr.request.Serving.prompt + l.l_done)))
-      0.0 actives
-  in
-  let now = ref 0.0 in
-  (match policy with
-  | Continuous ->
-      let live = ref [] in
-      let running = ref true in
-      while !running do
-        admit_until !now;
-        (* slots freed by completions refill here, at the step boundary *)
-        let joiners = List.map admit (pop_queue (slots - List.length !live)) in
-        if !live = [] && joiners = [] then
-          if !next < n then now := Float.max !now arrivals.(!next).at
-          else running := false
-        else begin
-          (* a joiner's prefill overlaps the step it joins; whichever of the
-             continuing decodes and the joining prefills is slowest gates it *)
-          let dur =
-            List.fold_left
-              (fun acc j -> Float.max acc j.l_costs.Serving.prefill_s)
-              (step_cost !live) joiners
-          in
-          now := !now +. dur;
-          List.iter (fun l -> l.l_done <- l.l_done + 1) !live;
-          let finished, continuing =
-            List.partition
-              (fun l -> l.l_done >= l.l_arr.request.Serving.generate)
-              !live
-          in
-          List.iter (fun l -> complete l !now) finished;
-          List.iter (fun j -> j.l_ttft <- !now) joiners;
-          live := continuing @ joiners
-        end
-      done
-  | Static b ->
-      let running = ref true in
-      while !running do
-        admit_until !now;
-        if Queue.length queue >= b || (!next >= n && not (Queue.is_empty queue))
-        then begin
-          let batch = List.map admit (pop_queue b) in
-          (* batched prefill: the batch's first tokens appear together *)
-          let pf =
-            List.fold_left
-              (fun acc l -> Float.max acc l.l_costs.Serving.prefill_s)
-              0.0 batch
-          in
-          now := !now +. pf;
-          admit_until !now;
-          List.iter (fun l -> l.l_ttft <- !now) batch;
-          (* lockstep decode until every member finishes: finished members
-             release no slot — the next batch forms only when this one ends *)
-          let active = ref batch in
-          while !active <> [] do
-            now := !now +. step_cost !active;
-            admit_until !now;
-            List.iter (fun l -> l.l_done <- l.l_done + 1) !active;
-            let finished, continuing =
-              List.partition
-                (fun l -> l.l_done >= l.l_arr.request.Serving.generate)
-                !active
-            in
-            List.iter (fun l -> complete l !now) finished;
-            active := continuing
-          done
-        end
-        else if !next >= n then running := false
-        else now := Float.max !now arrivals.(!next).at
-      done);
-  let completions = List.rev !completions in
-  (* zero completions — an empty trace, or overload dropping everything — is
-     a scenario to report, not an exception: the caller still needs the true
-     drop count to see the shed load *)
-  let makespan =
-    List.fold_left (fun acc c -> Float.max acc (c.c_arrival_s +. c.c_latency_s)) 0.0
-      completions
-  in
-  let tokens =
-    List.fold_left (fun acc c -> acc + c.c_request.Serving.generate) 0 completions
-  in
-  {
-    completions;
-    dropped = !dropped;
-    makespan_s = makespan;
-    throughput_tps =
-      (if completions = [] then 0.0 else float_of_int tokens /. makespan);
-    ttft = percentiles (fun c -> c.c_ttft_s) completions;
-    latency = percentiles (fun c -> c.c_latency_s) completions;
-    tiers = tier_tally completions;
-  }
-
-let serve ?slots ?queue_capacity ?budget ?gpu ~policy cfg m spec =
-  run ?slots ?queue_capacity ~policy
-    ~cost:(robust_source ?budget ?gpu cfg m)
-    (trace spec)

@@ -1,35 +1,23 @@
-(** Deterministic discrete-event multi-request serving simulator.
+(** Serving traffic: what requests arrive, what each one costs, and how
+    the results are recorded.
 
-    {!Serving} answers one request at a time; production traffic is many
-    requests contending for the same accelerator.  This module simulates a
-    seeded Poisson arrival stream of requests through an admission queue
-    and a batching policy, charging each simulated decode step with the
+    {!Serving} prices one request at a time; this module describes many of
+    them.  It holds the batching {!policy} a replica runs, a seeded Poisson
+    arrival {!trace}, {!cost_source}s that price a request with the
     {!Serving} phase-cost machinery (whose kernel compiles are memoized in
-    the content-addressed compile cache), and reports per-request TTFT and
-    TPOT plus fleet-level throughput and p50/p95/p99 tail latency.
+    the content-addressed compile cache), and the per-request
+    {!completion} records with their p50/p95/p99 and per-tier summaries.
 
-    {2 The step model}
-
-    Batches execute in lockstep: one decode step emits one token for every
-    active request, and the slowest active member gates the step.  Under
-    {!policy.Continuous}, decode slots refill at every step boundary as
-    requests complete, and an admitted request's prefill overlaps the step
-    it joins.  Under [Static b], a batch of [b] requests is formed (waiting
-    for arrivals if needed), prefilled together, and decoded until {e every}
-    member finishes before the next batch forms — the classic static-batch
-    TTFT penalty the continuous policy exists to remove.
-
-    {2 Determinism}
-
-    The arrival stream is a pure function of the seed, and the simulation is
-    sequential float arithmetic over costs that are themselves bit-identical
-    across domain-pool sizes — a trace replays exactly for any
-    [PICACHU_DOMAINS] and for repeated runs with the same seed. *)
+    The step engine that runs a trace under a policy is {!Cluster.run}; a
+    single-replica, fault-free, defense-free cluster is the plain serving
+    simulator.  The arrival stream is a pure function of the seed. *)
 
 module Mz = Picachu_llm.Model_zoo
 
 type policy =
-  | Static of int  (** fixed batch of the given size, run to completion *)
+  | Static of int
+      (** fixed batch of the given size, decoded until every member
+          finishes before the next batch forms *)
   | Continuous  (** slots refill per step; prefills join the running batch *)
 
 val policy_name : policy -> string
@@ -92,41 +80,3 @@ val percentiles : (completion -> float) -> completion list -> pct
 
 val tier_tally : completion list -> (Serving.tier * int) list
 (** Completions per serving tier, omitting tiers that served nothing. *)
-
-type fleet = {
-  completions : completion list;  (** in completion order *)
-  dropped : int;  (** arrivals rejected by a full admission queue *)
-  makespan_s : float;  (** last completion time *)
-  throughput_tps : float;  (** generated tokens per second over the makespan *)
-  ttft : pct;  (** TTFT percentiles, seconds *)
-  latency : pct;  (** end-to-end latency percentiles, seconds *)
-  tiers : (Serving.tier * int) list;  (** completions per serving tier *)
-}
-
-val run :
-  ?slots:int ->
-  ?queue_capacity:int ->
-  policy:policy ->
-  cost:cost_source ->
-  arrival list ->
-  fleet
-(** Simulate a trace.  [slots] (default 8) bounds the continuous decode
-    batch; [queue_capacity] (default 64) bounds the admission queue —
-    arrivals beyond it are dropped and counted.  A trace with no
-    completions (empty, or overload dropping everything) returns a
-    well-formed fleet with zero completions, zero percentiles, and the true
-    [dropped] count.  Raises [Invalid_argument] only on non-positive knobs
-    or a malformed request. *)
-
-val serve :
-  ?slots:int ->
-  ?queue_capacity:int ->
-  ?budget:int ->
-  ?gpu:Picachu_llm.Gpu_model.t ->
-  policy:policy ->
-  Simulator.config ->
-  Mz.t ->
-  trace_spec ->
-  fleet
-(** [run] over [trace spec] with {!robust_source} costs — the end-to-end
-    entry the CLI and benchmarks use. *)

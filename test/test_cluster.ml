@@ -1,5 +1,5 @@
 (* Cluster-serving suite: the event-queue ordering contract (qcheck oracle),
-   the PR 5 golden-trace replay through a 1-replica fault-free cluster,
+   the golden-trace replay through a 1-replica fault-free cluster,
    pool-size and repeat determinism at every fault profile, the chaos
    acceptance scenario (defenses on >= 0.99 availability, defenses off
    measurably lower), the availability accounting identity as a property,
@@ -24,26 +24,6 @@ let flat_cost ?(prefill = 1.0) ?(decode = 0.1) () : Scheduler.cost_source =
 
 let arrival id at prompt generate =
   { Scheduler.id; at; request = { Serving.prompt; generate } }
-
-(* bit-exact digest over a cluster report, in the exact format of the
-   scheduler suite's [fleet_digest] (goodput stands in for throughput —
-   same tokens/makespan formula) so the two are directly comparable *)
-let cluster_digest (r : Cluster.report) =
-  let b = Buffer.create 512 in
-  List.iter
-    (fun (c : Scheduler.completion) ->
-      Buffer.add_string b
-        (Printf.sprintf "%d:%Lx:%Lx:%Lx:%Lx;" c.Scheduler.c_id
-           (Int64.bits_of_float c.Scheduler.c_arrival_s)
-           (Int64.bits_of_float c.Scheduler.c_ttft_s)
-           (Int64.bits_of_float c.Scheduler.c_latency_s)
-           (Int64.bits_of_float c.Scheduler.c_tpot_s)))
-    r.Cluster.completions;
-  Buffer.add_string b
-    (Printf.sprintf "d%d|m%Lx|t%Lx" r.Cluster.dropped
-       (Int64.bits_of_float r.Cluster.makespan_s)
-       (Int64.bits_of_float r.Cluster.goodput_tps));
-  Digest.to_hex (Digest.string (Buffer.contents b))
 
 (* ------------------------------------------------------------ event queue *)
 
@@ -109,9 +89,8 @@ let golden_cluster_config =
     ~defenses:Cluster.no_defenses ()
 
 let test_golden_replay () =
-  (* a 1-replica, zero-fault, defense-free cluster is the scheduler: the
-     PR 5 pinned digest must hold bit-for-bit over the cluster's report,
-     and it must equal a live Scheduler.serve digest of the same trace *)
+  (* a 1-replica, zero-fault, defense-free cluster is the plain serving
+     simulator: the pinned digest must hold bit-for-bit over its report *)
   let r =
     Cluster.serve golden_cluster_config (Simulator.default_config ()) Mz.llama2_7b
       Test_scheduler.golden_spec
@@ -121,10 +100,7 @@ let test_golden_replay () =
   Alcotest.(check int) "failed" 0 r.Cluster.failed;
   Alcotest.(check bool) "identity" true (Cluster.accounting_ok r);
   Alcotest.(check string) "pinned PR 5 digest" "16d32789d5caa77bf3e6f2892fe7a3e9"
-    (cluster_digest r);
-  Alcotest.(check string) "live scheduler equivalence"
-    (Test_scheduler.fleet_digest (Test_scheduler.golden_fleet Scheduler.Continuous))
-    (cluster_digest r)
+    (Test_scheduler.report_digest r)
 
 (* ------------------------------------------- determinism across profiles *)
 
@@ -146,7 +122,7 @@ let test_pool_invariant_every_profile () =
         ~defenses:{ Cluster.default_defenses with Cluster.timeout_s = 20.0 }
         ()
     in
-    cluster_digest (Cluster.run cfg ~cost:(flat_cost ()) trace)
+    Test_scheduler.report_digest (Cluster.run cfg ~cost:(flat_cost ()) trace)
   in
   List.iter
     (fun (name, profile) ->
@@ -207,12 +183,14 @@ let test_chaos_defended_vs_undefended () =
 (* ------------------------------------------------- accounting properties *)
 
 let prop_accounting_identity =
-  (* answered + dropped + failed = arrivals at every seed and fault mix;
-     with an unbounded deadline and crash re-queuing on, nothing is ever
-     lost (failed = 0) and the whole run is repeat-deterministic *)
+  (* answered + dropped + failed = arrivals at every seed, fault mix and
+     batching policy; with an unbounded deadline and crash re-queuing on,
+     nothing is ever lost (failed = 0) and the whole run is
+     repeat-deterministic *)
   QCheck.Test.make ~name:"availability accounting identity under faults" ~count:30
-    QCheck.(triple (int_range 1 1000) (int_range 0 2) (int_range 2 3))
-    (fun (seed, mode, replicas) ->
+    QCheck.(quad (int_range 1 1000) (int_range 0 2) (int_range 2 3) (int_range 0 4))
+    (fun (seed, mode, replicas, batch) ->
+      let policy = if batch = 0 then Scheduler.Continuous else Scheduler.Static batch in
       let profile =
         match mode with
         | 0 -> Cluster.profile_crash ~seed ~mttf:4.0 ~mttr:2.0 ()
@@ -227,12 +205,12 @@ let prop_accounting_identity =
       let trace =
         Scheduler.trace (Scheduler.default_trace ~seed ~rps:4.0 ~requests:16 ())
       in
-      let r = Cluster.run cfg ~cost:(flat_cost ()) trace in
-      let r' = Cluster.run cfg ~cost:(flat_cost ()) trace in
+      let r = Cluster.run ~policy cfg ~cost:(flat_cost ()) trace in
+      let r' = Cluster.run ~policy cfg ~cost:(flat_cost ()) trace in
       Cluster.accounting_ok r
       && r.Cluster.failed = 0
       && r.Cluster.answered = r.Cluster.arrivals - r.Cluster.dropped
-      && cluster_digest r = cluster_digest r')
+      && Test_scheduler.report_digest r = Test_scheduler.report_digest r')
 
 let test_retry_budget_exhaustion () =
   (* a deadline shorter than the prefill makes every attempt time out: the

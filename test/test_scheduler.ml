@@ -1,8 +1,9 @@
-(* Determinism suite for the discrete-event serving scheduler: hand-computed
-   step semantics for both batching policies, queue-capacity drops, and the
-   acceptance pins — one small llama2-7b traffic trace whose results must be
-   bit-identical across domain-pool sizes 1/2/4 and across repeated runs,
-   with Continuous strictly beating Static on p95 TTFT. *)
+(* Determinism suite for serving traffic on one fault-free, defense-free
+   replica: seeded traces, hand-computed step semantics for both batching
+   policies, queue-capacity drops, and the acceptance pins — one small
+   llama2-7b traffic trace whose results must be bit-identical across
+   domain-pool sizes 1/2/4 and across repeated runs, with Continuous
+   strictly beating Static on p95 TTFT. *)
 open Picachu
 module Parallel = Picachu_parallel.Parallel
 module Mz = Picachu_llm.Model_zoo
@@ -24,6 +25,9 @@ let flat_cost ?(prefill = 1.0) ?(decode = 0.1) () : Scheduler.cost_source =
 
 let arrival id at prompt generate =
   { Scheduler.id; at; request = { Serving.prompt; generate } }
+
+let one_replica ?(slots = 8) ?(queue_capacity = 64) () =
+  Cluster.default_config ~replicas:1 ~slots ~queue_capacity ~defenses:Cluster.no_defenses ()
 
 (* ---------------------------------------------------------------- traces *)
 
@@ -65,30 +69,30 @@ let test_continuous_hand_computed () =
   (* two requests at t=0, two slots: prefills overlap the admission step
      (1.0 s), then two lockstep decode steps of 0.1 s each *)
   let fleet =
-    Scheduler.run ~slots:2 ~policy:Scheduler.Continuous ~cost:(flat_cost ())
+    Cluster.run ~policy:Scheduler.Continuous (one_replica ~slots:2 ()) ~cost:(flat_cost ())
       [ arrival 0 0.0 8 2; arrival 1 0.0 8 2 ]
   in
-  Alcotest.(check int) "both complete" 2 (List.length fleet.Scheduler.completions);
+  Alcotest.(check int) "both complete" 2 (List.length fleet.Cluster.completions);
   List.iter
     (fun (c : Scheduler.completion) ->
       checkf "ttft is the admission step" 1.0 c.Scheduler.c_ttft_s;
       checkf "latency" 1.2 c.Scheduler.c_latency_s;
       checkf "tpot" 0.1 c.Scheduler.c_tpot_s)
-    fleet.Scheduler.completions;
-  checkf "makespan" 1.2 fleet.Scheduler.makespan_s;
-  checkf "throughput" (4.0 /. 1.2) fleet.Scheduler.throughput_tps;
-  Alcotest.(check int) "no drops" 0 fleet.Scheduler.dropped
+    fleet.Cluster.completions;
+  checkf "makespan" 1.2 fleet.Cluster.makespan_s;
+  checkf "throughput" (4.0 /. 1.2) fleet.Cluster.goodput_tps;
+  Alcotest.(check int) "no drops" 0 fleet.Cluster.dropped
 
 let test_continuous_refills_freed_slot () =
   (* one slot: the second request waits for the first to finish decoding,
      then its prefill occupies the freed slot's next step *)
   let fleet =
-    Scheduler.run ~slots:1 ~policy:Scheduler.Continuous ~cost:(flat_cost ())
+    Cluster.run ~policy:Scheduler.Continuous (one_replica ~slots:1 ()) ~cost:(flat_cost ())
       [ arrival 0 0.0 8 2; arrival 1 0.0 8 2 ]
   in
   let by_id id =
     List.find (fun (c : Scheduler.completion) -> c.Scheduler.c_id = id)
-      fleet.Scheduler.completions
+      fleet.Cluster.completions
   in
   checkf "first ttft" 1.0 (by_id 0).Scheduler.c_ttft_s;
   checkf "first latency" 1.2 (by_id 0).Scheduler.c_latency_s;
@@ -100,76 +104,82 @@ let test_static_waits_for_batch () =
   (* batch of two: the first request cannot prefill until the second
      arrives at t=10 — the static TTFT penalty in its purest form *)
   let fleet =
-    Scheduler.run ~policy:(Scheduler.Static 2) ~cost:(flat_cost ())
+    Cluster.run ~policy:(Scheduler.Static 2) (one_replica ()) ~cost:(flat_cost ())
       [ arrival 0 0.0 8 2; arrival 1 10.0 8 2 ]
   in
   let by_id id =
     List.find (fun (c : Scheduler.completion) -> c.Scheduler.c_id = id)
-      fleet.Scheduler.completions
+      fleet.Cluster.completions
   in
   checkf "early arrival waits" 11.0 (by_id 0).Scheduler.c_ttft_s;
   checkf "late arrival only pays prefill" 1.0 (by_id 1).Scheduler.c_ttft_s;
-  checkf "makespan" 11.2 fleet.Scheduler.makespan_s
+  checkf "makespan" 11.2 fleet.Cluster.makespan_s
 
 let test_static_partial_final_batch () =
   (* three requests, batch of two: the trailing request runs as a partial
      batch once arrivals are exhausted *)
   let fleet =
-    Scheduler.run ~policy:(Scheduler.Static 2) ~cost:(flat_cost ())
+    Cluster.run ~policy:(Scheduler.Static 2) (one_replica ()) ~cost:(flat_cost ())
       [ arrival 0 0.0 8 1; arrival 1 0.0 8 1; arrival 2 0.0 8 1 ]
   in
-  Alcotest.(check int) "all complete" 3 (List.length fleet.Scheduler.completions)
+  Alcotest.(check int) "all complete" 3 (List.length fleet.Cluster.completions)
 
 let test_queue_capacity_drops () =
   let fleet =
-    Scheduler.run ~slots:1 ~queue_capacity:1 ~policy:Scheduler.Continuous
+    Cluster.run ~policy:Scheduler.Continuous
+      (one_replica ~slots:1 ~queue_capacity:1 ())
       ~cost:(flat_cost ())
       [ arrival 0 0.0 8 1; arrival 1 0.0 8 1; arrival 2 0.0 8 1 ]
   in
-  Alcotest.(check int) "one served" 1 (List.length fleet.Scheduler.completions);
-  Alcotest.(check int) "two dropped" 2 fleet.Scheduler.dropped
+  Alcotest.(check int) "one served" 1 (List.length fleet.Cluster.completions);
+  Alcotest.(check int) "two dropped" 2 fleet.Cluster.dropped
 
 let test_run_validation () =
-  Alcotest.check_raises "slots" (Invalid_argument "Scheduler.run: slots must be positive")
+  Alcotest.check_raises "slots" (Invalid_argument "Cluster.run: slots must be positive")
     (fun () ->
       ignore
-        (Scheduler.run ~slots:0 ~policy:Scheduler.Continuous ~cost:(flat_cost ()) []));
-  Alcotest.check_raises "batch" (Invalid_argument "Scheduler.run: batch size must be positive")
+        (Cluster.run ~policy:Scheduler.Continuous (one_replica ~slots:0 ())
+           ~cost:(flat_cost ()) []));
+  Alcotest.check_raises "batch" (Invalid_argument "Cluster.run: batch size must be positive")
     (fun () ->
-      ignore (Scheduler.run ~policy:(Scheduler.Static 0) ~cost:(flat_cost ()) []));
-  (* an empty trace is a well-formed degenerate fleet, not an exception —
-     the cluster layer feeds per-replica sub-traces that can be empty *)
-  let empty = Scheduler.run ~policy:Scheduler.Continuous ~cost:(flat_cost ()) [] in
-  Alcotest.(check int) "no completions" 0 (List.length empty.Scheduler.completions);
-  Alcotest.(check int) "no drops" 0 empty.Scheduler.dropped;
-  checkf "zero throughput" 0.0 empty.Scheduler.throughput_tps;
-  checkf "zero p99 ttft" 0.0 empty.Scheduler.ttft.Scheduler.p99;
-  Alcotest.(check int) "no tiers" 0 (List.length empty.Scheduler.tiers)
+      ignore
+        (Cluster.run ~policy:(Scheduler.Static 0) (one_replica ()) ~cost:(flat_cost ()) []));
+  (* an empty trace is a well-formed degenerate report, not an exception *)
+  let empty =
+    Cluster.run ~policy:Scheduler.Continuous (one_replica ()) ~cost:(flat_cost ()) []
+  in
+  Alcotest.(check int) "no completions" 0 (List.length empty.Cluster.completions);
+  Alcotest.(check int) "no drops" 0 empty.Cluster.dropped;
+  checkf "zero throughput" 0.0 empty.Cluster.goodput_tps;
+  checkf "zero p99 ttft" 0.0 empty.Cluster.ttft.Scheduler.p99;
+  Alcotest.(check int) "no tiers" 0 (List.length empty.Cluster.tiers)
 
 let test_all_dropped_trace () =
   (* queue capacity 1, one slot, a burst at t=0: requests beyond the first
-     two are shed.  Before PR 7 an all-dropped trace raised [Invalid_argument]
-     out of Scheduler.run; now it must report a well-formed fleet whose
-     completions + dropped account for every arrival *)
+     two are shed.  An all-dropped trace must report a well-formed result
+     whose completions + dropped account for every arrival *)
   let burst = List.init 12 (fun i -> arrival i 0.0 8 1) in
   let fleet =
-    Scheduler.run ~slots:1 ~queue_capacity:1 ~policy:Scheduler.Continuous
+    Cluster.run ~policy:Scheduler.Continuous
+      (one_replica ~slots:1 ~queue_capacity:1 ())
       ~cost:(flat_cost ()) burst
   in
   Alcotest.(check int) "accounting"
     12
-    (List.length fleet.Scheduler.completions + fleet.Scheduler.dropped);
-  Alcotest.(check bool) "most of the burst shed" true (fleet.Scheduler.dropped >= 10)
+    (List.length fleet.Cluster.completions + fleet.Cluster.dropped);
+  Alcotest.(check bool) "most of the burst shed" true (fleet.Cluster.dropped >= 10)
 
 (* ------------------------------------------- the pinned llama2-7b trace *)
 
 let golden_spec = Scheduler.default_trace ~seed:7 ~rps:8.0 ~requests:12 ()
 
 let golden_fleet policy =
-  Scheduler.serve ~slots:8 ~queue_capacity:64 ~policy (Simulator.default_config ())
-    Mz.llama2_7b golden_spec
+  Cluster.serve ~policy (one_replica ~slots:8 ~queue_capacity:64 ())
+    (Simulator.default_config ()) Mz.llama2_7b golden_spec
 
-let fleet_digest (f : Scheduler.fleet) =
+(* bit-exact digest over a report: every completion's identity and float
+   bits, then drops, makespan and goodput (tokens over the makespan) *)
+let report_digest (f : Cluster.report) =
   let b = Buffer.create 512 in
   List.iter
     (fun (c : Scheduler.completion) ->
@@ -179,29 +189,29 @@ let fleet_digest (f : Scheduler.fleet) =
            (Int64.bits_of_float c.Scheduler.c_ttft_s)
            (Int64.bits_of_float c.Scheduler.c_latency_s)
            (Int64.bits_of_float c.Scheduler.c_tpot_s)))
-    f.Scheduler.completions;
+    f.Cluster.completions;
   Buffer.add_string b
-    (Printf.sprintf "d%d|m%Lx|t%Lx" f.Scheduler.dropped
-       (Int64.bits_of_float f.Scheduler.makespan_s)
-       (Int64.bits_of_float f.Scheduler.throughput_tps));
+    (Printf.sprintf "d%d|m%Lx|t%Lx" f.Cluster.dropped
+       (Int64.bits_of_float f.Cluster.makespan_s)
+       (Int64.bits_of_float f.Cluster.goodput_tps));
   Digest.to_hex (Digest.string (Buffer.contents b))
 
 let test_golden_trace_pinned () =
   (* the full per-request result of the seed-7 trace, pinned: any change to
      the arrival stream, the step model, or the cost machinery moves this *)
   let f = golden_fleet Scheduler.Continuous in
-  Alcotest.(check int) "completions" 12 (List.length f.Scheduler.completions);
-  Alcotest.(check int) "drops" 0 f.Scheduler.dropped;
+  Alcotest.(check int) "completions" 12 (List.length f.Cluster.completions);
+  Alcotest.(check int) "drops" 0 f.Cluster.dropped;
   Alcotest.(check string) "p95 ttft" "21.672747"
-    (Printf.sprintf "%.6f" f.Scheduler.ttft.Scheduler.p95);
+    (Printf.sprintf "%.6f" f.Cluster.ttft.Scheduler.p95);
   Alcotest.(check string) "p95 latency" "35.916038"
-    (Printf.sprintf "%.6f" f.Scheduler.latency.Scheduler.p95);
-  Alcotest.(check string) "digest" "16d32789d5caa77bf3e6f2892fe7a3e9" (fleet_digest f)
+    (Printf.sprintf "%.6f" f.Cluster.latency.Scheduler.p95);
+  Alcotest.(check string) "digest" "16d32789d5caa77bf3e6f2892fe7a3e9" (report_digest f)
 
 let test_golden_pool_invariant () =
   (* bit-identical across domain-pool sizes and across repeated runs *)
   let reference =
-    Parallel.with_pool ~size:1 (fun () -> fleet_digest (golden_fleet Scheduler.Continuous))
+    Parallel.with_pool ~size:1 (fun () -> report_digest (golden_fleet Scheduler.Continuous))
   in
   List.iter
     (fun size ->
@@ -209,18 +219,18 @@ let test_golden_pool_invariant () =
           Alcotest.(check string)
             (Printf.sprintf "pool size %d" size)
             reference
-            (fleet_digest (golden_fleet Scheduler.Continuous));
+            (report_digest (golden_fleet Scheduler.Continuous));
           Alcotest.(check string)
             (Printf.sprintf "repeat at size %d" size)
             reference
-            (fleet_digest (golden_fleet Scheduler.Continuous))))
+            (report_digest (golden_fleet Scheduler.Continuous))))
     pool_sizes
 
 let test_continuous_beats_static_p95_ttft () =
   let cont = golden_fleet Scheduler.Continuous in
   let stat = golden_fleet (Scheduler.Static 4) in
   Alcotest.(check bool) "strictly better tail TTFT" true
-    (cont.Scheduler.ttft.Scheduler.p95 < stat.Scheduler.ttft.Scheduler.p95)
+    (cont.Cluster.ttft.Scheduler.p95 < stat.Cluster.ttft.Scheduler.p95)
 
 let test_degraded_tier_shows_up () =
   (* picachu-variant kernels on the homogeneous baseline fabric are
@@ -234,15 +244,15 @@ let test_degraded_tier_shows_up () =
       generate_buckets = [| 4; 8 |];
     }
   in
-  let f = Scheduler.serve ~policy:Scheduler.Continuous cfg Mz.gpt2_xl spec in
-  Alcotest.(check int) "all answered" 4 (List.length f.Scheduler.completions);
-  (match f.Scheduler.tiers with
+  let f = Cluster.serve ~policy:Scheduler.Continuous (one_replica ()) cfg Mz.gpt2_xl spec in
+  Alcotest.(check int) "all answered" 4 (List.length f.Cluster.completions);
+  (match f.Cluster.tiers with
   | [ (Serving.Baseline_cgra, 4) ] -> ()
   | _ -> Alcotest.fail "expected every request served by the baseline tier");
   List.iter
     (fun (c : Scheduler.completion) ->
       Alcotest.(check bool) "positive ttft" true (c.Scheduler.c_ttft_s > 0.0))
-    f.Scheduler.completions
+    f.Cluster.completions
 
 let suite =
   [
