@@ -73,6 +73,16 @@ echo "$onesa_out" | grep -q "ONE-SA" || {
 echo "$onesa_out" | grep -q "PICACHU vs ONE-SA geomean" || {
   echo "one-sa smoke: geomean summary line missing"; exit 1; }
 
+echo "== surrogate decode smoke =="
+# the outlier sweep samples 15 streams through the KV-cached decoder and
+# scores each under three backends (~3 s); its table must match the same
+# section of the surrogate golden byte for byte
+outliers_out="$(dune exec bin/picachu_cli.exe -- experiments outliers)"
+echo "$outliers_out"
+outliers_golden="$(awk '/^Supplementary: activation-outlier sweep/ { on = 1 } on && /^$/ { exit } on' test/experiments_surrogate.golden)"
+[ -n "$outliers_golden" ] && [ "$outliers_out" = "$(printf '\n%s' "$outliers_golden")" ] || {
+  echo "surrogate decode smoke: outlier sweep differs from test/experiments_surrogate.golden"; exit 1; }
+
 echo "== fault campaign smoke =="
 dune exec examples/fault_campaign.exe -- 0.002 7
 

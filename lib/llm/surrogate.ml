@@ -125,53 +125,99 @@ let norm_fn c (b : Approx.t) x =
   | Mz.Layernorm_norm -> Nl.Norms.layernorm b x
   | Mz.Rmsnorm_norm -> Nl.Norms.rmsnorm b x
 
-let slice_head x ~heads ~h =
-  let seq = Tensor.rows x and d = Tensor.cols x in
-  let dh = d / heads in
-  Tensor.init [ seq; dh ] (fun idx ->
-      let i = idx / dh and j = idx mod dh in
-      Tensor.get2 x i ((h * dh) + j))
+(* The KV cache: post-RoPE K rows and V rows, one [capacity x dh] tensor
+   per (layer, KV head).  Rows [0, len) hold the positions fed so far; the
+   rest stay zero until a later block writes them. *)
+type state = {
+  model : t;
+  k_cache : Tensor.t array array;  (* layer -> KV head -> capacity x dh *)
+  v_cache : Tensor.t array array;
+  mutable len : int;
+}
 
-let write_head ~dst x ~heads ~h =
-  let seq = Tensor.rows x and dh = Tensor.cols x in
-  ignore heads;
-  for i = 0 to seq - 1 do
-    for j = 0 to dh - 1 do
-      Tensor.set2 dst i ((h * dh) + j) (Tensor.get2 x i j)
-    done
-  done
+let start t ~capacity =
+  let c = t.c in
+  if capacity < 1 || capacity > c.max_seq then invalid_arg "Surrogate.start: capacity";
+  let dh = c.d_model / c.heads in
+  let heads () =
+    Array.init c.layers (fun _ ->
+        Array.init c.kv_heads (fun _ -> Tensor.create [ capacity; dh ]))
+  in
+  { model = t; k_cache = heads (); v_cache = heads (); len = 0 }
 
-let attention c (b : Approx.t) ~q ~k ~v =
-  let seq = Tensor.rows q in
+(* Row [i] of head [h]'s [dh]-column slice of [src], rotated to absolute
+   position [pos] under RoPE, written over row [dst_row] of [dst].  Rope
+   works on one row at a time, so a row rotated here equals the row
+   [Rope.approx_rows] yields at index [pos]. *)
+let put_head_row c (b : Approx.t) ~src ~h ~i ~pos ~dst ~dst_row =
+  let dh = Tensor.cols dst in
+  let row = Array.sub (Tensor.data src) ((i * Tensor.cols src) + (h * dh)) dh in
+  let row =
+    match c.pos with
+    | Mz.Rope_pos -> Tensor.data (Nl.Rope.approx b ~pos (Tensor.of_array [ dh ] row))
+    | Mz.Learned_pos -> row
+  in
+  Array.blit row 0 (Tensor.data dst) (dst_row * dh) dh
+
+(* Below this many query-key pairs the head loop runs inline: a one-row
+   decode step is too small for a pool dispatch, and the head kernels are
+   the same either way. *)
+let par_pairs_threshold = 256
+
+(* Causal attention of [m] new rows at positions [start, start + m) over
+   the cached keys.  The block's K/V rows are appended to the layer's
+   cache first, so every query row sees positions [0, start + i]. *)
+let attention c (b : Approx.t) ~k_cache ~v_cache ~start ~q ~k ~v =
+  let m = Tensor.rows q in
   let d = Tensor.cols q in
   let dh = d / c.heads in
   let group = c.heads / c.kv_heads in
-  let out = Tensor.create [ seq; d ] in
+  let append g =
+    for i = 0 to m - 1 do
+      let pos = start + i in
+      put_head_row c b ~src:k ~h:g ~i ~pos ~dst:k_cache.(g) ~dst_row:pos;
+      Array.blit (Tensor.data v) ((i * Tensor.cols v) + (g * dh)) (Tensor.data v_cache.(g))
+        (pos * dh) dh
+    done
+  in
+  let out = Tensor.create [ m; d ] in
   let scale = 1.0 /. sqrt (float_of_int dh) in
   (* heads are independent and each writes its own column slice of [out],
      so the head loop parallelizes with bit-identical results *)
   let head h =
-    let qh = slice_head q ~heads:c.heads ~h in
+    let qh = Tensor.create [ m; dh ] in
+    for i = 0 to m - 1 do
+      put_head_row c b ~src:q ~h ~i ~pos:(start + i) ~dst:qh ~dst_row:i
+    done;
     (* grouped-query attention: [group] query heads share one KV head *)
     let kv = h / group in
-    let kh = slice_head k ~heads:c.kv_heads ~h:kv in
-    let vh = slice_head v ~heads:c.kv_heads ~h:kv in
-    let qh = if c.pos = Mz.Rope_pos then Nl.Rope.approx_rows b qh else qh in
-    let kh = if c.pos = Mz.Rope_pos then Nl.Rope.approx_rows b kh else kh in
-    let scores = Tensor.matmul_nt qh kh in
+    (* scores against every cache row; the columns past a row's own prefix
+       are never read, and their zero probabilities are skipped by the
+       [matmul] row kernel, so [ctx] equals the full-sequence product *)
+    let scores = Tensor.matmul_nt qh k_cache.(kv) in
     (* causal attention: each query row softmaxes over its own prefix — the
        channel-by-channel shape the CGRA kernel actually executes, so no
        sentinel mask value ever reaches a quantizer *)
-    let probs = Tensor.create [ seq; seq ] in
-    for i = 0 to seq - 1 do
-      let row = Array.init (i + 1) (fun j -> Tensor.get2 scores i j *. scale) in
+    let probs = Tensor.create [ m; Tensor.rows k_cache.(kv) ] in
+    for i = 0 to m - 1 do
+      let row = Array.init (start + i + 1) (fun j -> Tensor.get2 scores i j *. scale) in
       let p = Nl.Softmax.approx_row b row in
       Array.iteri (fun j v -> Tensor.set2 probs i j v) p
     done;
-    let ctx = Tensor.matmul probs vh in
-    write_head ~dst:out ctx ~heads:c.heads ~h
+    let ctx = Tensor.matmul probs v_cache.(kv) in
+    for i = 0 to m - 1 do
+      Array.blit (Tensor.data ctx) (i * dh) (Tensor.data out) ((i * d) + (h * dh)) dh
+    done
   in
-  Parallel.parallel_for ~chunk:1 0 c.heads head;
+  let for_each n f =
+    if m * (start + m) < par_pairs_threshold then
+      for i = 0 to n - 1 do
+        f i
+      done
+    else Parallel.parallel_for ~chunk:1 0 n f
+  in
+  for_each c.kv_heads append;
+  for_each c.heads head;
   out
 
 let ffn c (b : Approx.t) (l : layer) h =
@@ -186,42 +232,65 @@ let ffn c (b : Approx.t) (l : layer) h =
       Tensor.matmul (Nl.Activations.geglu b ~gate up) l.w_down
   | (Mz.Swiglu_ffn | Mz.Geglu_ffn), None -> assert false
 
-let logits t (b : Approx.t) tokens =
+(* The one forward engine: run [tokens] as new rows at positions
+   [st.len, st.len + m) against the cache, append their K/V rows, and
+   return their [m x vocab] next-token logits.  Norms, RoPE, softmax
+   rows, matmul rows and the lm-head are row-local; attention reads
+   earlier rows only through the cache; the activations see exactly the
+   block passed in.  So a block holding the whole sequence is the full
+   forward, and under [Approx.exact] a one-row block reproduces that
+   forward's row bit for bit (DESIGN.md, "Surrogate forward engine"). *)
+let forward st (b : Approx.t) who tokens =
+  let t = st.model in
   let c = t.c in
-  let seq = Array.length tokens in
-  if seq = 0 || seq > c.max_seq then invalid_arg "Surrogate.logits: sequence length";
-  Array.iter (fun tok -> if tok < 0 || tok >= c.vocab then invalid_arg "Surrogate.logits: token") tokens;
+  let m = Array.length tokens and start = st.len in
+  if m = 0 || start + m > Tensor.rows st.k_cache.(0).(0) then
+    invalid_arg (who ^ ": sequence length");
+  Array.iter (fun tok -> if tok < 0 || tok >= c.vocab then invalid_arg (who ^ ": token")) tokens;
   let x =
-    Tensor.init [ seq; c.d_model ] (fun idx ->
+    Tensor.init [ m; c.d_model ] (fun idx ->
         let i = idx / c.d_model and j = idx mod c.d_model in
         Tensor.get2 t.emb tokens.(i) j
-        +. (match c.pos with Mz.Learned_pos -> Tensor.get2 t.pos_emb i j | Mz.Rope_pos -> 0.0))
+        +. (match c.pos with
+           | Mz.Learned_pos -> Tensor.get2 t.pos_emb (start + i) j
+           | Mz.Rope_pos -> 0.0))
   in
   let x = ref x in
-  List.iter
-    (fun l ->
+  List.iteri
+    (fun li l ->
       let h = norm_fn c b !x in
       let q = Tensor.matmul h l.wq
       and k = Tensor.matmul h l.wk
       and v = Tensor.matmul h l.wv in
-      let ctx = attention c b ~q ~k ~v in
+      let ctx =
+        attention c b ~k_cache:st.k_cache.(li) ~v_cache:st.v_cache.(li) ~start ~q ~k ~v
+      in
       x := Tensor.add !x (Tensor.matmul ctx l.wo);
       let h2 = norm_fn c b !x in
       x := Tensor.add !x (ffn c b l h2))
     t.layers_w;
+  st.len <- start + m;
   let xf = norm_fn c b !x in
   (* trained LLMs emit confident (low-entropy) distributions; the sharpening
      factor stands in for that, so operator damage moves perplexity the way
      it does in a real checkpoint *)
   Tensor.scale c.logit_scale (Tensor.matmul_nt xf t.emb)
 
+let logits t (b : Approx.t) tokens =
+  let seq = Array.length tokens in
+  if seq = 0 || seq > t.c.max_seq then invalid_arg "Surrogate.logits: sequence length";
+  forward (start t ~capacity:seq) b "Surrogate.logits" tokens
+
+let step st tok = Tensor.data (forward st Approx.exact "Surrogate.step" [| tok |])
+
 let sample t rng ?(temperature = 0.8) ~len () =
   if len < 2 || len > t.c.max_seq then invalid_arg "Surrogate.sample: len";
   let tokens = Array.make len 0 in
   tokens.(0) <- Rng.int rng t.c.vocab;
+  (* the last token is drawn but never fed *)
+  let st = start t ~capacity:(len - 1) in
   for pos = 1 to len - 1 do
-    let lg = logits t Approx.exact (Array.sub tokens 0 pos) in
-    let row = Array.init t.c.vocab (fun j -> Tensor.get2 lg (pos - 1) j /. temperature) in
+    let row = Array.map (fun x -> x /. temperature) (step st tokens.(pos - 1)) in
     let probs = Nl.Softmax.exact_row row in
     (* inverse-CDF sampling *)
     let u = Rng.float rng in

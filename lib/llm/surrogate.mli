@@ -56,6 +56,23 @@ val logits : t -> Approx.t -> int array -> Tensor.t
 (** [seq x vocab] next-token logits under the given nonlinear backend.
     Tokens must lie in [0, vocab). *)
 
+type state
+(** A per-layer, per-KV-head cache of the post-RoPE K and V rows of the
+    positions fed so far, for incremental decode. *)
+
+val start : t -> capacity:int -> state
+(** An empty cache for up to [capacity] positions, [1 <= capacity <=
+    max_seq]. *)
+
+val step : state -> int -> float array
+(** [step st tok] feeds [tok] at the next position and returns its
+    [vocab]-wide next-token logit row under {!Approx.exact}: bitwise the
+    row {!logits} [Approx.exact] yields for the whole sequence fed so far.
+    Exact only, since the per-tensor dynamic-INT backends scale over the
+    whole block and so are not row-local.  Raises [Invalid_argument] when
+    the cache is full or the token lies outside [0, vocab). *)
+
 val sample : t -> Rng.t -> ?temperature:float -> len:int -> unit -> int array
 (** Autoregressive sampling from the float64-exact model; the synthetic
-    "Wikitext2" stream the perplexity experiments score. *)
+    "Wikitext2" stream the perplexity experiments score.  Decodes with
+    {!step} on a cache of [len - 1] rows. *)

@@ -484,19 +484,17 @@ let supp_outliers () =
         { (Surrogate.surrogate_of Mz.llama2_7b) with Surrogate.outlier_scale = scale }
       in
       let sur = Surrogate.create ~seed cfg in
+      (* each stream is sampled once and scored under every backend *)
+      let samples =
+        List.map
+          (fun stream_seed ->
+            Surrogate.sample sur (Picachu_tensor.Rng.create stream_seed)
+              ~temperature:sample_temperature ~len:stream_len ())
+          streams
+      in
       let avg backend =
-        let total =
-          List.fold_left
-            (fun acc stream_seed ->
-              let rng = Picachu_tensor.Rng.create stream_seed in
-              let stream =
-                Surrogate.sample sur rng ~temperature:sample_temperature
-                  ~len:stream_len ()
-              in
-              acc +. Ppl.ppl sur backend stream)
-            0.0 streams
-        in
-        total /. float_of_int (List.length streams)
+        List.fold_left (fun acc stream -> acc +. Ppl.ppl sur backend stream) 0.0 samples
+        /. float_of_int (List.length samples)
       in
       ( scale,
         avg Nm.Approx.fp16_reference,

@@ -160,6 +160,57 @@ let test_surrogate_gqa () =
   Alcotest.(check bool) "ours tracks fp16 under gqa" true
     (Float.abs (ours -. fp16) /. fp16 < 0.02)
 
+(* the Table 5 surrogates plus the grouped-query (2 KV heads) and
+   multi-query (1 KV head) shapes, built once for the step properties *)
+let step_models =
+  lazy
+    (Array.of_list
+       (List.map
+          (fun c -> Surrogate.create ~seed:42 c)
+          (List.map Surrogate.surrogate_of
+             Model_zoo.[ gpt2_xl; opt_6_7b; opt_13b; llama2_7b; llama2_13b; mistral_7b ]
+          @ [ { (Surrogate.surrogate_of Model_zoo.falcon_7b) with Surrogate.kv_heads = 1 } ])))
+
+let prop_step_matches_logits =
+  QCheck.Test.make ~name:"step rows bitwise equal exact logits rows" ~count:40
+    QCheck.(
+      make
+        ~print:Print.(pair int (array int))
+        Gen.(pair (int_bound 6) (int_range 1 160 >>= fun n -> array_size (return n) (int_bound 255))))
+    (fun (mi, tokens) ->
+      let sur = (Lazy.force step_models).(mi) in
+      let lg = Surrogate.logits sur Approx.exact tokens in
+      let st = Surrogate.start sur ~capacity:(Array.length tokens) in
+      let ok = ref true in
+      Array.iteri
+        (fun i tok ->
+          Array.iteri
+            (fun j x ->
+              if Int64.bits_of_float x <> Int64.bits_of_float (Tensor.get2 lg i j) then ok := false)
+            (Surrogate.step st tok))
+        tokens;
+      !ok)
+
+let test_step_validation () =
+  let s = surrogate Model_zoo.gpt2_xl in
+  Alcotest.check_raises "zero capacity" (Invalid_argument "Surrogate.start: capacity")
+    (fun () -> ignore (Surrogate.start s ~capacity:0));
+  Alcotest.check_raises "capacity past max_seq" (Invalid_argument "Surrogate.start: capacity")
+    (fun () -> ignore (Surrogate.start s ~capacity:161));
+  let st = Surrogate.start s ~capacity:2 in
+  Alcotest.check_raises "bad token" (Invalid_argument "Surrogate.step: token") (fun () ->
+      ignore (Surrogate.step st 256));
+  Alcotest.check_raises "negative token" (Invalid_argument "Surrogate.step: token") (fun () ->
+      ignore (Surrogate.step st (-1)));
+  (* a rejected token leaves the cache untouched *)
+  let r0 = Surrogate.step st 5 in
+  let r1 = Surrogate.step st 9 in
+  let lg = Surrogate.logits s Approx.exact [| 5; 9 |] in
+  Alcotest.(check bool) "rows after rejects" true
+    (r0 = Array.init 256 (Tensor.get2 lg 0) && r1 = Array.init 256 (Tensor.get2 lg 1));
+  Alcotest.check_raises "past capacity" (Invalid_argument "Surrogate.step: sequence length")
+    (fun () -> ignore (Surrogate.step st 1))
+
 (* ------------------------------------------------------------------- ppl *)
 
 let test_ppl_exact_beats_chance () =
@@ -300,6 +351,8 @@ let suite =
         Alcotest.test_case "causality" `Quick test_surrogate_causality;
         Alcotest.test_case "sampling" `Quick test_sample_deterministic_and_valid;
         Alcotest.test_case "grouped-query attention" `Slow test_surrogate_gqa;
+        Alcotest.test_case "step validation" `Quick test_step_validation;
+        QCheck_alcotest.to_alcotest prop_step_matches_logits;
       ] );
     ( "ppl",
       [

@@ -140,6 +140,21 @@ let test_surrogate_logits_bit_identical () =
         pool_sizes)
     [ Approx.exact; Approx.ours_int () ]
 
+let test_sample_identical_across_sizes () =
+  List.iter
+    (fun m ->
+      let model = Surrogate.create ~seed:5 (Surrogate.surrogate_of m) in
+      let draw () = Surrogate.sample model (Rng.create 11) ~temperature:0.4 ~len:48 () in
+      let reference = at_size 1 draw in
+      List.iter
+        (fun size ->
+          at_size size (fun () ->
+              Alcotest.(check (array int))
+                (Printf.sprintf "%s pool=%d" m.Mz.name size)
+                reference (draw ())))
+        pool_sizes)
+    [ Mz.gpt2_xl; Mz.llama2_7b; Mz.mistral_7b ]
+
 (* ------------------------------------------------------------- properties *)
 
 let shape_gen = QCheck.Gen.int_range 1 48
@@ -190,6 +205,8 @@ let suite =
           test_matmul_nt_bit_identical;
         Alcotest.test_case "surrogate logits bit-identical @ pools 1/2/4" `Slow
           test_surrogate_logits_bit_identical;
+        Alcotest.test_case "surrogate sample identical @ pools 1/2/4" `Quick
+          test_sample_identical_across_sizes;
         qtest prop_matmul_nt_is_matmul_transpose;
         qtest prop_parallel_matmul_matches_pool1;
       ] );

@@ -358,6 +358,16 @@ let test_golden_transcript () =
   Alcotest.(check string) "experiments transcript byte-identical"
     (read_file (golden_path "experiments_compiler.golden")) got
 
+(* the surrogate-scored subset: both PPL tables and the three supplements
+   built on sampled streams, pinned from the full-prefix sampler that
+   predates the KV cache *)
+let surrogate_golden_ids = [ "tab2"; "tab5"; "outliers"; "attrib"; "quant" ]
+
+let test_surrogate_transcript () =
+  let got = capture_stdout (fun () -> List.iter Experiments.print surrogate_golden_ids) in
+  Alcotest.(check string) "surrogate transcript byte-identical"
+    (read_file (golden_path "experiments_surrogate.golden")) got
+
 let mappings_digest_pin = "53e6d6126400f51973ecc8d30a490aaf"
 
 let test_golden_mappings_digest () =
@@ -436,6 +446,8 @@ let suite =
           test_explore_memoization;
         Alcotest.test_case "golden: experiments transcript subset" `Slow
           test_golden_transcript;
+        Alcotest.test_case "golden: surrogate transcript subset" `Slow
+          test_surrogate_transcript;
         Alcotest.test_case "golden: emitted mappings digest" `Slow
           test_golden_mappings_digest;
       ] );
