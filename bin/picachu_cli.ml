@@ -440,7 +440,15 @@ let hw_run_cmd =
 " source;
           exit 1
     in
-    let compiled = Compiler.compile (Compiler.picachu_options ()) kernel in
+    let fail e =
+      Printf.eprintf "hw-run: %s\n" (Picachu_error.to_string e);
+      exit 1
+    in
+    let compiled =
+      match Compiler.compile_result (Compiler.picachu_options ()) kernel with
+      | Ok c -> c
+      | Error e -> fail e
+    in
     let rng = Picachu_tensor.Rng.create 1 in
     let arrays =
       List.map
@@ -448,7 +456,7 @@ let hw_run_cmd =
         kernel.Kernel.inputs
     in
     let env = { Picachu_ir.Interp.arrays; scalars = [ ("n", float_of_int n) ] } in
-    let hw = Hw_sim.run compiled env in
+    let hw = try Hw_sim.run compiled env with Picachu_error.Error e -> fail e in
     let reference = Picachu_ir.Interp.run kernel env in
     Printf.printf "%s: executed %d cycles on the configured fabric (%d config words)
 "

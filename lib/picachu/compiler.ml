@@ -70,8 +70,9 @@ let () =
 
 (* Precision-driven format choice runs as its own registered pass so the
    ladder walk shows up in [compile_stats] next to the structural passes:
-   how many candidates each selection proved bounds for, and how often the
-   budget was missed (a fallback to the best-proven / widest format). *)
+   how many candidates each selection proved bounds for, how often the
+   budget was missed (a fallback to the best-proven / widest format), and
+   the fixpoint rounds and instruction evaluations the analysis spent. *)
 let stage_select_format ?config ?budget ?candidates () =
   Pipeline.v ~name:"select-format" (fun k ->
       let c = Precision.select_format ?config ?budget ?candidates k in
@@ -82,6 +83,8 @@ let stage_select_format ?config ?budget ?candidates () =
         (List.length c.Precision.tried);
       if c.Precision.fallback then
         Pipeline.bump ~pass:"select-format" "fallbacks" 1;
+      Pipeline.bump ~pass:"select-format" "fixpoint-rounds" c.Precision.work.rounds;
+      Pipeline.bump ~pass:"select-format" "fixpoint-evals" c.Precision.work.evals;
       c)
 
 let select_format ?config ?budget ?candidates (k : Kernel.t) =

@@ -98,7 +98,8 @@ val select_format :
     {!Picachu_verify.Precision.default_budget}, the constant [1e-2]),
     falling back to the best-proven (or widest) candidate.  Raises
     [Invalid_argument] on a NaN or non-positive budget.  Instrumented under
-    {!compile_stats}: candidates tried/proven and fallback count. *)
+    {!compile_stats}: candidates tried/proven, fallback count, and the
+    analysis's fixpoint work ([fixpoint-rounds], [fixpoint-evals]). *)
 
 val verify_compiled : options -> compiled -> Picachu_verify.Finding.t list
 (** Error-severity findings from the independent validator

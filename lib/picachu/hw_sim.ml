@@ -10,6 +10,16 @@ type report = {
 }
 
 let run ?fault (c : Compiler.compiled) (env : Interp.env) =
+  List.iter
+    (fun (cl : Compiler.compiled_loop) ->
+      let l = cl.Compiler.source in
+      if l.Kernel.vector_width <> 1 then
+        let reason =
+          Printf.sprintf "loop %s has vector width %d; the executor runs scalar schedules only"
+            l.Kernel.label l.Kernel.vector_width
+        in
+        raise (Picachu_error.Error (Unsupported { kernel = c.Compiler.kernel.Kernel.name; reason })))
+    c.Compiler.loops;
   let outputs = Hashtbl.create 4 in
   let cycles = ref 0 in
   let configs = ref [] in

@@ -19,7 +19,9 @@ type report = {
 val run : ?fault:Picachu_cgra.Fault.injector -> Compiler.compiled -> Interp.env -> report
 (** Raises {!Picachu_cgra.Executor.Timing_violation} if the schedule is
     inconsistent — which the test suite asserts never happens for compiler
-    output. Requires a scalar-mode compilation ([vector = 1]).
+    output.  Requires scalar loops: a loop of vector width other than 1
+    (from a [vector > 1] compile or a [vw=] kernel text) raises
+    [Picachu_error.Error (Unsupported _)] before anything runs.
 
     [fault] threads one fault-injection stream through every loop of the
     kernel, in order (see {!Picachu_cgra.Executor.run_loop}). *)

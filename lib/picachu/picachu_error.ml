@@ -11,6 +11,7 @@ type t =
   | All_tiers_failed of (string * t) list
   | Replica_crashed of { replica : int }
   | Deadline_exceeded of { request : int; attempt : int }
+  | Unsupported of { kernel : string; reason : string }
 
 exception Error of t
 
@@ -18,7 +19,7 @@ let transient = function
   | Execution_fault _ | Timing_violation _ | Replica_crashed _ | Deadline_exceeded _ ->
       true
   | Unmappable _ | Mapping_failed _ | Unknown_kernel _ | Verification_failed _
-  | All_tiers_failed _ ->
+  | All_tiers_failed _ | Unsupported _ ->
       false
 
 let of_exn = function
@@ -43,6 +44,7 @@ let rec to_string = function
   | Replica_crashed { replica } -> Printf.sprintf "replica %d crashed" replica
   | Deadline_exceeded { request; attempt } ->
       Printf.sprintf "request %d exceeded its deadline on attempt %d" request attempt
+  | Unsupported { kernel; reason } -> Printf.sprintf "%s: unsupported: %s" kernel reason
   | All_tiers_failed tiers ->
       "all serving tiers failed: "
       ^ String.concat "; "

@@ -40,6 +40,10 @@ type t =
       (** A dispatched attempt outlived its per-request timeout.  Transient:
           another replica may answer in time, but each retry is charged
           against the request's bounded budget. *)
+  | Unsupported of { kernel : string; reason : string }
+      (** A well-formed kernel uses a feature the requested stage does not
+          implement, e.g. a vectorized loop on the scalar cycle-accurate
+          executor.  Deterministic. *)
 
 exception Error of t
 

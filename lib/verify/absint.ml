@@ -25,17 +25,15 @@ type ('v, 'c) domain = {
   value : 'c -> 'v;
   input : float * float -> 'c;
   stream : float * float -> 'c;
-  transfer :
-    Instr.t array ->
-    lookup_stream:(string -> 'v) ->
-    lookup_scalar:(string -> 'v) ->
-    phi_value:(int -> 'v -> 'v) ->
-    'c array;
+  slot : int -> unit;
+  step : Instr.t array -> arg:(int -> 'v) -> get:(int -> 'v) -> Instr.t -> 'v;
   unknown : 'v;
   const : float -> 'v;
   bin : Op.binop -> 'v -> 'v -> 'v;
   isqrt : 'v -> 'v;
 }
+
+type work = { rounds : int; evals : int }
 
 (* the BrT tiles' integer control path, derived independently of
    [Transform.find_skeleton] *)
@@ -73,21 +71,70 @@ let eval_sexpr dom scalars e =
   in
   go e
 
-(* Abstract execution of one loop.  The transfer function is iterated with
-   accumulating joins until it stabilizes or [trip_max] rounds have run.
-   Because every concrete execution performs at most [trip_max] iterations
-   (the trip count is bounded by configuration), the joined state after
-   round k soundly covers every concrete run of up to k trips — so stopping
-   at the cap needs no widening heuristics and the result is still a sound
+(* The operands whose values an instruction's transfer reads: a load's
+   address and a store's address are ignored, and a phi reads only its
+   initial operand (its carried operand reaches it through the joined
+   state, see [analyze_loop]). *)
+let semantic_args (i : Instr.t) =
+  match (i.Instr.op, i.Instr.args) with
+  | Op.Load _, _ -> []
+  | Op.Store _, [ _; v ] -> [ v ]
+  | Op.Store _, _ -> []
+  | Op.Phi, init :: _ -> [ init ]
+  | _, args -> args
+
+(* Nothing outside the control skeleton observes its cells: no export or
+   store is on it, and no instruction off it reads one of its ids, except
+   as a load or store address. *)
+let closed_skeleton (loop : Kernel.loop) body on =
+  (not (List.exists (fun (_, id) -> on id) loop.Kernel.exports))
+  && Array.for_all
+       (fun (i : Instr.t) ->
+         match i.Instr.op with
+         | Op.Load _ -> true
+         | Op.Store _ -> not (on i.Instr.id || List.exists on (semantic_args i))
+         | _ -> on i.Instr.id || not (List.exists on i.Instr.args))
+       body
+
+(* Abstract execution of one loop.  The body is iterated with accumulating
+   joins until it stabilizes or [trip_max + 1] rounds have run.  Because
+   every concrete execution performs at most [trip_max] iterations (the
+   trip count is bounded by configuration), the joined state after round k
+   soundly covers every concrete run of up to k trips — so stopping at the
+   cap needs no widening heuristics and the result is still a sound
    invariant.  Monotone accumulators (reduction sums) simply walk to their
    trip-bounded extreme; multiplicative blowups walk to infinity and lose
-   their bound. *)
+   their bound.
+
+   Only work that can change a result is done.  Rounds 1 and 2 evaluate
+   the whole body (in round 2 the phis switch from their initial operand to
+   the joined state).  From round 3 on an instruction is re-evaluated only
+   when it is a phi whose own or carried cell changed in the last join, or
+   when one of its [semantic_args] was re-evaluated this round; every other
+   value is kept from the round that computed it.  A kept value is bit for
+   bit what re-evaluation would give: its operands and the state it reads
+   are unchanged, and the domain keys any fresh symbols by the
+   instruction's body position ([slot]), not by a running counter.  No
+   value outlives its round's use except through cells, so each value is
+   either kept whole or recomputed whole and physical-equality tests in the
+   domain keep their meaning.  A skipped instruction's cell is unchanged,
+   and joining it again is the identity.
+
+   The induction variable grows every round, so a loop whose skeleton is
+   observed runs to the cap.  When the skeleton is closed
+   ([closed_skeleton]) its cells are observed by nobody, so it is not
+   re-evaluated after round 2 and no longer counts as moving: the
+   fixpoint ends at the first round that leaves every cell off it
+   unchanged.  The data path is then a deterministic system that reads
+   nothing of the skeleton, so one stable round means every later round is
+   stable too. *)
 let analyze_loop dom cfg ~streams ~scalars (loop : Kernel.loop) =
   let body = Array.of_list loop.Kernel.body in
   let count = Array.length body in
+  let skeleton = skeleton_ids body in
   let scalars = ref scalars in
   (* the trip-count scalar (the branch bound) is a positive element count *)
-  (match skeleton_ids body with
+  (match skeleton with
   | _ :: _ :: _ :: bound_id :: _ when bound_id >= 0 && bound_id < count -> (
       match (body.(bound_id)).Instr.op with
       | Op.Input s ->
@@ -95,7 +142,9 @@ let analyze_loop dom cfg ~streams ~scalars (loop : Kernel.loop) =
       | _ -> ())
   | _ -> ());
   List.iter
-    (fun (name, e) -> scalars := (name, dom.cell (eval_sexpr dom !scalars e)) :: !scalars)
+    (fun (name, e) ->
+      dom.slot (-1);
+      scalars := (name, dom.cell (eval_sexpr dom !scalars e)) :: !scalars)
     loop.Kernel.pre;
   let configured s default =
     match List.assoc_opt s cfg.stream_ranges with Some r -> r | None -> default
@@ -112,30 +161,70 @@ let analyze_loop dom cfg ~streams ~scalars (loop : Kernel.loop) =
       | Some c -> c
       | None -> dom.input (configured s cfg.default_scalar))
   in
-  let state = ref (Array.make count dom.top) in
-  let first = ref true in
-  let phi_value id init =
-    if !first then init
-    else
-      let s = !state in
-      let carried =
-        match (body.(id)).Instr.args with
-        | [ _; next ] when next >= 0 && next < count -> s.(next)
-        | _ -> dom.top
-      in
-      dom.value (dom.join (dom.cell init) (dom.join s.(id) carried))
+  let on_skeleton = Array.init count (fun id -> List.mem id skeleton) in
+  let closed =
+    closed_skeleton loop body (fun id -> id >= 0 && id < count && on_skeleton.(id))
   in
-  let iters = ref 0 in
-  let stable = ref false in
-  while (not !stable) && !iters <= cfg.trip_max do
-    let cells = dom.transfer body ~lookup_stream ~lookup_scalar ~phi_value in
-    let joined = if !first then cells else Array.map2 dom.join !state cells in
-    stable := (not !first) && Array.for_all2 dom.equal !state joined;
-    first := false;
-    state := joined;
-    incr iters
+  let reads = Array.map semantic_args body in
+  let carried =
+    Array.map
+      (fun (i : Instr.t) ->
+        match (i.Instr.op, i.Instr.args) with
+        | Op.Phi, [ _; next ] when next >= 0 && next < count -> Some next
+        | _ -> None)
+      body
+  in
+  let values = Array.make count dom.unknown in
+  let state = Array.make count dom.top in
+  (* [fresh]: evaluated this round; [changed]: cell moved in the last join *)
+  let fresh = Array.make count false in
+  let changed = Array.make count false in
+  let round = ref 0 and evals = ref 0 and stable = ref false in
+  let eval pos (i : Instr.t) =
+    (* this round's value of an earlier instruction; later ones read as
+       unknown, as they are not evaluated yet *)
+    let get id = if id >= 0 && id < pos then values.(id) else dom.unknown in
+    let arg k =
+      match List.nth_opt i.Instr.args k with Some id -> get id | None -> dom.unknown
+    in
+    dom.slot pos;
+    match i.Instr.op with
+    | Op.Phi ->
+        if !round = 1 then arg 0
+        else
+          let c = match carried.(pos) with Some next -> state.(next) | None -> dom.top in
+          dom.value (dom.join (dom.cell (arg 0)) (dom.join state.(pos) c))
+    | Op.Load s -> lookup_stream s
+    | Op.Input s -> lookup_scalar s
+    | _ -> dom.step body ~arg ~get i
+  in
+  while (not !stable) && !round <= cfg.trip_max do
+    incr round;
+    for pos = 0 to count - 1 do
+      fresh.(pos) <-
+        !round <= 2
+        || (not (closed && on_skeleton.(pos)))
+           && ((match carried.(pos) with
+               | Some next -> changed.(pos) || changed.(next)
+               | None -> false)
+              || List.exists (fun id -> id >= 0 && id < pos && fresh.(id)) reads.(pos));
+      if fresh.(pos) then begin
+        values.(pos) <- eval pos body.(pos);
+        incr evals
+      end
+    done;
+    for pos = 0 to count - 1 do
+      if fresh.(pos) then begin
+        let c = dom.cell values.(pos) in
+        let joined = if !round = 1 then c else dom.join state.(pos) c in
+        changed.(pos) <- not (dom.equal state.(pos) joined);
+        state.(pos) <- joined
+      end
+      else changed.(pos) <- false
+    done;
+    stable := !round > 1 && not (Array.mem true changed)
   done;
-  let cells = !state in
+  let cells = state in
   (* record stores and exports for downstream loops *)
   Array.iter
     (fun (i : Instr.t) ->
@@ -146,7 +235,9 @@ let analyze_loop dom cfg ~streams ~scalars (loop : Kernel.loop) =
             (match Hashtbl.find_opt streams s with Some old -> dom.join old c | None -> c)
       | _ -> ())
     body;
-  (cells, List.map (fun (name, id) -> (name, cells.(id))) loop.Kernel.exports @ !scalars)
+  ( cells,
+    List.map (fun (name, id) -> (name, cells.(id))) loop.Kernel.exports @ !scalars,
+    { rounds = !round; evals = !evals } )
 
 (* the findings of one loop: [check] sees every instruction off the
    control skeleton, in body order, with its stable cell *)
@@ -173,11 +264,13 @@ let loop_findings dom pass ~kernel ~check (loop : Kernel.loop) (cells : _ array)
 
 let run dom cfg pass ~check (k : Kernel.t) =
   let streams = Hashtbl.create 8 in
-  let _, fs =
+  let _, fs, work =
     List.fold_left
-      (fun (scalars, acc) loop ->
-        let cells, scalars' = analyze_loop dom cfg ~streams ~scalars loop in
-        (scalars', acc @ loop_findings dom pass ~kernel:k.Kernel.name ~check loop cells))
-      ([], []) k.Kernel.loops
+      (fun (scalars, fs, work) loop ->
+        let cells, scalars', w = analyze_loop dom cfg ~streams ~scalars loop in
+        ( scalars',
+          fs @ loop_findings dom pass ~kernel:k.Kernel.name ~check loop cells,
+          (loop.Kernel.label, w) :: work ))
+      ([], [], []) k.Kernel.loops
   in
-  (streams, fs)
+  (streams, fs, List.rev work)

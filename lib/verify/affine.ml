@@ -11,12 +11,23 @@ type t = {
   rad : float; (* >= 0; anonymous residual radius *)
 }
 
-type ctx = { mutable next : int }
+(* A symbol id is (slot, draw index within the slot), packed so that ids
+   order lexicographically.  Only the relative order of ids that meet in
+   one form matters (it fixes the order [merge_terms] keeps and [radius]
+   sums in), so ids keyed by the slot that draws them give the same
+   results as one running counter, as long as the slots are entered in
+   the order the draws would have run. *)
+type ctx = { mutable slot : int; mutable draw : int }
 
-let ctx () = { next = 0 }
+let ctx () = { slot = 0; draw = 0 }
+
+let slot cx s =
+  cx.slot <- s;
+  cx.draw <- 0
+
 let fresh_sym cx =
-  let i = cx.next in
-  cx.next <- i + 1;
+  let i = (cx.slot lsl 32) lor cx.draw in
+  cx.draw <- cx.draw + 1;
   i
 
 let no_terms : (int * float) array = [||]

@@ -21,6 +21,14 @@ type ctx
     contexts must not be mixed. *)
 
 val ctx : unit -> ctx
+(** A fresh allocator at slot [0]. *)
+
+val slot : ctx -> int -> unit
+(** [slot cx s] keys the symbols drawn from now on by [s]: the [k]-th draw
+    after it gets the id [(s, k)], and ids order lexicographically.  The
+    same slot entered again reissues the same ids, so a computation
+    re-run from the same operands in the same slot yields the same form.
+    Forms drawn in different visits to one slot must not be combined. *)
 
 val const : float -> t
 val top : t

@@ -140,143 +140,131 @@ let binop cx (op : Op.binop) a b =
   | Op.Max -> { av = Affine.max_ cx a.av b.av; err = Float.max a.err b.err }
   | Op.Min -> { av = Affine.min_ cx a.av b.av; err = Float.max a.err b.err }
 
-let eval_body cx fmt (body : Instr.t array) ~lookup_stream ~lookup_scalar
-    ~phi_value =
+let bot = { av = Affine.top; err = infinity }
+
+(* One instruction's abstract value, rounded through the format; the engine
+   resolves phis, loads and scalar inputs. *)
+let eval_instr cx fmt (body : Instr.t array) ~arg ~(get : int -> aval) (i : Instr.t) =
   let count = Array.length body in
-  let bot = { av = Affine.top; err = infinity } in
-  let values = Array.make count bot in
-  Array.iter
-    (fun (i : Instr.t) ->
-      let arg k =
-        match List.nth_opt i.Instr.args k with
-        | Some a when a >= 0 && a < count -> values.(a)
-        | _ -> bot
-      in
-      let v =
-        match i.Instr.op with
-        | Op.Const c -> { av = Affine.const c; err = 0.0 }
-        | Op.Input s -> lookup_scalar s
-        | Op.Phi -> phi_value i.Instr.id (arg 0)
-        | Op.Load s -> lookup_stream s
-        | Op.Store _ -> arg 1
-        | Op.Br -> arg 0
-        | Op.Cmp _ ->
-            (* a predicate bit on the control path; Select accounts for the
-               flip risk from its own operands *)
-            { av = Affine.of_interval cx 0.0 1.0; err = 0.0 }
-        | Op.Select ->
-            let t = arg 1 and f = arg 2 in
-            let flip_possible =
-              match List.nth_opt i.Instr.args 0 with
-              | Some c when c >= 0 && c < count -> (
-                  match (body.(c)).Instr.op with
-                  | Op.Cmp _ ->
-                      List.exists
-                        (fun a ->
-                          a < 0 || a >= count || values.(a).err <> 0.0)
-                        (body.(c)).Instr.args
-                  | _ -> values.(c).err <> 0.0)
-              | _ -> true
+  let v =
+    match i.Instr.op with
+    | Op.Const c -> { av = Affine.const c; err = 0.0 }
+    | Op.Store _ -> arg 1
+    | Op.Br -> arg 0
+    | Op.Cmp _ ->
+        (* a predicate bit on the control path; Select accounts for the
+           flip risk from its own operands *)
+        { av = Affine.of_interval cx 0.0 1.0; err = 0.0 }
+    | Op.Select ->
+        let t = arg 1 and f = arg 2 in
+        let flip_possible =
+          match List.nth_opt i.Instr.args 0 with
+          | Some c when c >= 0 && c < count -> (
+              match (body.(c)).Instr.op with
+              | Op.Cmp _ ->
+                  List.exists
+                    (fun a -> (get a).err <> 0.0)
+                    (body.(c)).Instr.args
+              | _ -> (get c).err <> 0.0)
+          | _ -> true
+        in
+        let err =
+          if not flip_possible then Float.max t.err f.err
+          else
+            (* the two runs may take different branches: pay the
+               distance between the branch values on top *)
+            let tlo, thi = Affine.interval t.av
+            and flo, fhi = Affine.interval f.av in
+            let w = Float.max thi fhi -. Float.min tlo flo in
+            Float.max t.err f.err +. w
+        in
+        { av = Affine.join cx t.av f.av; err }
+    | Op.Bin ((Op.Max | Op.Min) as op) ->
+        let a = arg 0 and b = arg 1 in
+        let alo, ahi = Affine.interval a.av
+        and blo, bhi = Affine.interval b.av in
+        (* domination: when one operand provably wins in both the ideal
+           and the finite run, the result is a copy of it *)
+        let pick_a, pick_b =
+          match op with
+          | Op.Max ->
+              ( alo > bhi && alo -. a.err > bhi +. b.err,
+                blo > ahi && blo -. b.err > ahi +. a.err )
+          | _ ->
+              ( ahi < blo && ahi +. a.err < blo -. b.err,
+                bhi < alo && bhi +. b.err < alo -. a.err )
+        in
+        if pick_a then a else if pick_b then b else binop cx op a b
+    | Op.Bin op -> binop cx op (arg 0) (arg 1)
+    | Op.Un Op.Neg -> { av = Affine.neg (arg 0).av; err = (arg 0).err }
+    | Op.Un Op.Abs -> { av = Affine.abs cx (arg 0).av; err = (arg 0).err }
+    | Op.Un Op.Floor | Op.Fp2fx_int ->
+        let a = arg 0 in
+        let err = if a.err = 0.0 then 0.0 else a.err +. 1.0 in
+        { av = Affine.floor cx a.av; err }
+    | Op.Fp2fx_frac ->
+        let a = arg 0 in
+        (* both fractional parts live in [0, 1), so the split
+           discontinuity costs at most 1 *)
+        let err =
+          if a.err = 0.0 then 0.0 else Float.min (a.err +. 1.0) 1.0
+        in
+        { av = Affine.of_interval cx 0.0 1.0; err }
+    | Op.Shift_exp ->
+        let a = arg 0 and e = arg 1 in
+        let alo, ahi = Affine.interval a.av
+        and elo, ehi = Affine.interval e.av in
+        let clamp v = Float.max (-150.0) (Float.min 129.0 v) in
+        let av =
+          if Float.is_finite elo && Float.is_finite ehi then
+            let p_lo =
+              Float.ldexp 1.0
+                (int_of_float (Float.floor (clamp (elo -. 0.5))))
+            and p_hi =
+              Float.ldexp 1.0
+                (int_of_float (Float.ceil (clamp (ehi +. 0.5))))
             in
-            let err =
-              if not flip_possible then Float.max t.err f.err
-              else
-                (* the two runs may take different branches: pay the
-                   distance between the branch values on top *)
-                let tlo, thi = Affine.interval t.av
-                and flo, fhi = Affine.interval f.av in
-                let w = Float.max thi fhi -. Float.min tlo flo in
-                Float.max t.err f.err +. w
+            let cands =
+              [ alo *. p_lo; alo *. p_hi; ahi *. p_lo; ahi *. p_hi ]
             in
-            { av = Affine.join cx t.av f.av; err }
-        | Op.Bin ((Op.Max | Op.Min) as op) ->
-            let a = arg 0 and b = arg 1 in
-            let alo, ahi = Affine.interval a.av
-            and blo, bhi = Affine.interval b.av in
-            (* domination: when one operand provably wins in both the ideal
-               and the finite run, the result is a copy of it *)
-            let pick_a, pick_b =
-              match op with
-              | Op.Max ->
-                  ( alo > bhi && alo -. a.err > bhi +. b.err,
-                    blo > ahi && blo -. b.err > ahi +. a.err )
-              | _ ->
-                  ( ahi < blo && ahi +. a.err < blo -. b.err,
-                    bhi < alo && bhi +. b.err < alo -. a.err )
+            Affine.of_interval cx
+              (List.fold_left Float.min infinity cands)
+              (List.fold_left Float.max neg_infinity cands)
+          else Affine.top
+        in
+        let err =
+          if Float.is_finite e.err && Float.is_finite ehi then
+            let k =
+              if e.err = 0.0 then 0
+              else Stdlib.min 64 (int_of_float (Float.floor e.err) + 1)
             in
-            if pick_a then a else if pick_b then b else binop cx op a b
-        | Op.Bin op -> binop cx op (arg 0) (arg 1)
-        | Op.Un Op.Neg -> { av = Affine.neg (arg 0).av; err = (arg 0).err }
-        | Op.Un Op.Abs -> { av = Affine.abs cx (arg 0).av; err = (arg 0).err }
-        | Op.Un Op.Floor | Op.Fp2fx_int ->
-            let a = arg 0 in
-            let err = if a.err = 0.0 then 0.0 else a.err +. 1.0 in
-            { av = Affine.floor cx a.av; err }
-        | Op.Fp2fx_frac ->
-            let a = arg 0 in
-            (* both fractional parts live in [0, 1), so the split
-               discontinuity costs at most 1 *)
-            let err =
-              if a.err = 0.0 then 0.0 else Float.min (a.err +. 1.0) 1.0
-            in
-            { av = Affine.of_interval cx 0.0 1.0; err }
-        | Op.Shift_exp ->
-            let a = arg 0 and e = arg 1 in
-            let alo, ahi = Affine.interval a.av
-            and elo, ehi = Affine.interval e.av in
-            let clamp v = Float.max (-150.0) (Float.min 129.0 v) in
-            let av =
-              if Float.is_finite elo && Float.is_finite ehi then
-                let p_lo =
-                  Float.ldexp 1.0
-                    (int_of_float (Float.floor (clamp (elo -. 0.5))))
-                and p_hi =
-                  Float.ldexp 1.0
-                    (int_of_float (Float.ceil (clamp (ehi +. 0.5))))
-                in
-                let cands =
-                  [ alo *. p_lo; alo *. p_hi; ahi *. p_lo; ahi *. p_hi ]
-                in
-                Affine.of_interval cx
-                  (List.fold_left Float.min infinity cands)
-                  (List.fold_left Float.max neg_infinity cands)
-              else Affine.top
-            in
-            let err =
-              if Float.is_finite e.err && Float.is_finite ehi then
-                let k =
-                  if e.err = 0.0 then 0
-                  else Stdlib.min 64 (int_of_float (Float.floor e.err) + 1)
-                in
-                let k_hi = int_of_float (Float.ceil (clamp (ehi +. 0.5))) in
-                let pow = Float.ldexp 1.0 k_hi in
-                (a.err *. Float.ldexp pow k)
-                +. (ideal_mag a.av *. pow *. (Float.ldexp 1.0 k -. 1.0))
-              else infinity
-            in
-            { av; err }
-        | Op.Lut name ->
-            let a = arg 0 in
-            let alo, ahi = Affine.interval a.av in
-            let av =
-              if Float.is_finite alo && Float.is_finite ahi then
-                let lo, hi = Lut_catalog.interval name alo ahi in
-                Affine.of_interval cx lo hi
-              else Affine.top
-            in
-            (* the table's Lipschitz constant (its steepest segment) scales
-               the input error *)
-            let err =
-              match Lut_catalog.lipschitz name with
-              | Some l -> l *. a.err
-              | None -> infinity
-            in
-            { av; err }
-        | Op.Fused _ -> bot
-      in
-      values.(i.Instr.id) <- finish fmt i.Instr.op v.av v.err)
-    body;
-  Array.map cell_of_aval values
+            let k_hi = int_of_float (Float.ceil (clamp (ehi +. 0.5))) in
+            let pow = Float.ldexp 1.0 k_hi in
+            (a.err *. Float.ldexp pow k)
+            +. (ideal_mag a.av *. pow *. (Float.ldexp 1.0 k -. 1.0))
+          else infinity
+        in
+        { av; err }
+    | Op.Lut name ->
+        let a = arg 0 in
+        let alo, ahi = Affine.interval a.av in
+        let av =
+          if Float.is_finite alo && Float.is_finite ahi then
+            let lo, hi = Lut_catalog.interval name alo ahi in
+            Affine.of_interval cx lo hi
+          else Affine.top
+        in
+        (* the table's Lipschitz constant (its steepest segment) scales
+           the input error *)
+        let err =
+          match Lut_catalog.lipschitz name with
+          | Some l -> l *. a.err
+          | None -> infinity
+        in
+        { av; err }
+    | Op.Phi | Op.Load _ | Op.Input _ | Op.Fused _ -> bot
+  in
+  finish fmt i.Instr.op v.av v.err
 
 (* the between-loop scalar glue runs on the host float64 path: errors from
    exported scalars propagate, but no rounding is added *)
@@ -310,8 +298,9 @@ let domain cx fmt : (aval, cell) Absint.domain =
         let q = Numfmt.quantum fmt ~mag:(Float.max (Float.abs lo) (Float.abs hi)) in
         let mx = Numfmt.max_value fmt in
         { lo = Float.max (lo -. q) (-.mx); hi = Float.min (hi +. q) mx; err = 0.0 });
-    transfer = eval_body cx fmt;
-    unknown = { av = Affine.top; err = infinity };
+    slot = Affine.slot cx;
+    step = eval_instr cx fmt;
+    unknown = bot;
     const = (fun v -> { av = Affine.const v; err = 0.0 });
     bin = binop cx;
     isqrt = isqrt cx;
@@ -351,10 +340,11 @@ type result = {
   bound : float;
   findings : Finding.t list;
   outputs : (string * (float * float) * float) list;
+  work : (string * Absint.work) list;
 }
 
 let analyze ?(config = default_config) ~fmt (k : Kernel.t) =
-  let streams, findings =
+  let streams, findings, work =
     Absint.run (domain (Affine.ctx ()) fmt) config Finding.Precision_check
       ~check:(check fmt) k
   in
@@ -365,7 +355,7 @@ let analyze ?(config = default_config) ~fmt (k : Kernel.t) =
   let bound =
     List.fold_left (fun b (_, _, e) -> Float.max b e) 0.0 outputs
   in
-  { fmt; bound; findings; outputs }
+  { fmt; bound; findings; outputs; work }
 
 let proven ?config ~fmt k = Float.is_finite (analyze ?config ~fmt k).bound
 
@@ -378,6 +368,7 @@ type choice = {
   bound : float;
   fallback : bool;
   tried : (Numfmt.t * float) list;
+  work : Absint.work;
 }
 
 let default_budget = 1e-2
@@ -386,8 +377,14 @@ let select_format ?config ?(budget = default_budget)
     ?(candidates = Numfmt.catalogue) (k : Kernel.t) =
   if not (budget > 0.0) then
     invalid_arg (Printf.sprintf "Precision.select_format: budget %g is not positive" budget);
-  let tried =
-    List.map (fun f -> (f, (analyze ?config ~fmt:f k).bound)) candidates
+  let results = List.map (fun f -> analyze ?config ~fmt:f k) candidates in
+  let tried = List.map (fun (r : result) -> (r.fmt, r.bound)) results in
+  let work =
+    List.fold_left
+      (fun { Absint.rounds; evals } (_, (w : Absint.work)) ->
+        { Absint.rounds = rounds + w.rounds; evals = evals + w.evals })
+      { Absint.rounds = 0; evals = 0 }
+      (List.concat_map (fun (r : result) -> r.work) results)
   in
   let (fmt, bound), fallback =
     match List.find_opt (fun (_, b) -> b <= budget) tried with
@@ -401,4 +398,4 @@ let select_format ?config ?(budget = default_budget)
         | [], widest :: _ -> (widest, true)
         | [], [] -> ((Numfmt.Fp32, infinity), true))
   in
-  { kernel = k.Kernel.name; budget; fmt; bound; fallback; tried }
+  { kernel = k.Kernel.name; budget; fmt; bound; fallback; tried; work }

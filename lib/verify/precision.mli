@@ -50,6 +50,8 @@ type result = {
   findings : Finding.t list;
   outputs : (string * (float * float) * float) list;
       (** per stored stream: ideal value interval and proven error bound *)
+  work : (string * Absint.work) list;
+      (** fixpoint rounds and instruction evaluations per loop, by label *)
 }
 
 val analyze : ?config:config -> fmt:Numfmt.t -> Picachu_ir.Kernel.t -> result
@@ -65,6 +67,7 @@ type choice = {
   bound : float;  (** its proven bound; [infinity] when nothing proves *)
   fallback : bool;  (** no candidate met the budget *)
   tried : (Numfmt.t * float) list;  (** every candidate's proven bound *)
+  work : Absint.work;  (** fixpoint work summed over every candidate's loops *)
 }
 
 val default_budget : float

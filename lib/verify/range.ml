@@ -123,39 +123,22 @@ let lut_i name a =
     guard (make lo hi)
   else top
 
-(* One abstract iteration of the loop body.  [phi_value] supplies the value
-   a phi observes this iteration. *)
-let eval_body (body : Instr.t array) ~lookup_stream ~lookup_scalar ~phi_value =
-  let count = Array.length body in
-  let values = Array.make count top in
-  Array.iter
-    (fun (i : Instr.t) ->
-      let arg k =
-        match List.nth_opt i.Instr.args k with
-        | Some a when a >= 0 && a < count -> values.(a)
-        | _ -> top
-      in
-      let v =
-        match i.Instr.op with
-        | Op.Const c -> point c
-        | Op.Input s -> lookup_scalar s
-        | Op.Phi -> phi_value i.Instr.id (arg 0)
-        | Op.Bin op -> binop_i op (arg 0) (arg 1)
-        | Op.Un Op.Neg -> neg_i (arg 0)
-        | Op.Un Op.Abs -> abs_i (arg 0)
-        | Op.Un Op.Floor | Op.Fp2fx_int -> floor_i (arg 0)
-        | Op.Cmp _ | Op.Fp2fx_frac -> make 0.0 1.0
-        | Op.Select -> join (arg 1) (arg 2)
-        | Op.Load s -> lookup_stream s
-        | Op.Store _ -> arg 1
-        | Op.Shift_exp -> shift_exp_i (arg 0) (arg 1)
-        | Op.Lut name -> lut_i name (arg 0)
-        | Op.Br -> arg 0
-        | Op.Fused _ -> top
-      in
-      values.(i.Instr.id) <- v)
-    body;
-  values
+(* One instruction's abstract value; the engine resolves phis, loads and
+   scalar inputs. *)
+let eval_instr _body ~arg ~get:_ (i : Instr.t) =
+  match i.Instr.op with
+  | Op.Const c -> point c
+  | Op.Bin op -> binop_i op (arg 0) (arg 1)
+  | Op.Un Op.Neg -> neg_i (arg 0)
+  | Op.Un Op.Abs -> abs_i (arg 0)
+  | Op.Un Op.Floor | Op.Fp2fx_int -> floor_i (arg 0)
+  | Op.Cmp _ | Op.Fp2fx_frac -> make 0.0 1.0
+  | Op.Select -> join (arg 1) (arg 2)
+  | Op.Store _ -> arg 1
+  | Op.Shift_exp -> shift_exp_i (arg 0) (arg 1)
+  | Op.Lut name -> lut_i name (arg 0)
+  | Op.Br -> arg 0
+  | Op.Phi | Op.Load _ | Op.Input _ | Op.Fused _ -> top
 
 let of_range (lo, hi) = make lo hi
 
@@ -168,7 +151,8 @@ let domain : (itv, itv) Absint.domain =
     value = Fun.id;
     input = of_range;
     stream = of_range;
-    transfer = eval_body;
+    slot = ignore;
+    step = eval_instr;
     unknown = top;
     const = point;
     bin = binop_i;
@@ -216,7 +200,8 @@ let check cfg =
 let analyze ?(config = default_config) (k : Kernel.t) =
   let { fmt = _; stream_ranges; default_stream; default_scalar; trip_max } = config in
   let engine = { Absint.stream_ranges; default_stream; default_scalar; trip_max } in
-  snd (Absint.run domain engine Finding.Range_check ~check:(check config) k)
+  let _, findings, _ = Absint.run domain engine Finding.Range_check ~check:(check config) k in
+  findings
 
 let significant fs =
   List.filter

@@ -84,11 +84,11 @@ let test_executor_matches_under_fixed_unroll () =
 let test_executor_rejects_vectorized () =
   let opts = Compiler.picachu_options ~vector:4 () in
   let compiled = Compiler.compile opts (Kernels.relu Kernels.picachu) in
-  Alcotest.(check bool) "vector mode rejected" true
+  Alcotest.(check bool) "vector mode rejected with a typed error" true
     (try
        ignore (Hw_sim.run compiled (env_for (Kernels.relu Kernels.picachu)));
        false
-     with Invalid_argument _ -> true)
+     with Picachu_error.Error (Picachu_error.Unsupported _) -> true)
 
 let test_timing_violation_detected () =
   (* corrupt a valid mapping: pull one non-trivial node earlier than its

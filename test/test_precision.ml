@@ -21,6 +21,7 @@ module Fx = Picachu_numerics.Fixed_point
 module Affine = Picachu_verify.Affine
 module Precision = Picachu_verify.Precision
 module Range = Picachu_verify.Range
+module Absint = Picachu_verify.Absint
 module Finding = Picachu_verify.Finding
 module Parallel = Picachu_parallel.Parallel
 open Picachu
@@ -296,46 +297,218 @@ let test_findings_deterministic_across_pools () =
 
 (* ---------------------------------------------------- behaviour golden *)
 
-(* Both analyzers over the Taylor and NLI rosters plus the extras: range
-   findings under Q8.8 and Q4.8, and the precision result under every
-   catalogue format (bound and per-stream outputs to the last bit,
-   findings with their locations).  Pinned by digest, so any change to the
-   shared loop-fixpoint engine or to either domain shows up here. *)
-let analysis_transcript () =
+(* Both analyzers over a kernel list: range findings under Q8.8 and Q4.8,
+   and the precision result under every catalogue format (bound and
+   per-stream outputs to the last bit, findings with their locations).
+   Pinned by digest, so any change to the shared loop-fixpoint engine or to
+   either domain shows up here. *)
+let transcript ?(trip_max = Precision.default_config.Precision.trip_max) kernels =
   let b = Buffer.create (1 lsl 16) in
   let line fmt = Printf.bprintf b (fmt ^^ "\n") in
   let findings fs =
     List.iter (fun f -> line "  %s" (Finding.to_string f)) (Finding.sort fs)
   in
+  let config = { Precision.default_config with Precision.trip_max } in
   List.iter
     (fun (k : Kernel.t) ->
       line "kernel %s" k.Kernel.name;
       List.iter
-        (fun (name, config) ->
+        (fun (name, fmt) ->
           line " range %s" name;
-          findings (Range.analyze ~config k))
-        [
-          ("q8.8", Range.default_config);
-          ("q4.8", { Range.default_config with Range.fmt = q4_8 });
-        ];
+          findings (Range.analyze ~config:{ Range.default_config with Range.fmt; trip_max } k))
+        [ ("q8.8", Range.default_config.Range.fmt); ("q4.8", q4_8) ];
       List.iter
         (fun fmt ->
-          let r = Precision.analyze ~fmt k in
+          let r = Precision.analyze ~config ~fmt k in
           line " precision %s bound %h" (Numfmt.name fmt) r.Precision.bound;
           List.iter
             (fun (s, (lo, hi), e) -> line "  out %s [%h, %h] err %h" s lo hi e)
             r.Precision.outputs;
           findings r.Precision.findings)
         Numfmt.catalogue)
+    kernels;
+  Buffer.contents b
+
+(* the Taylor and NLI rosters plus the extras *)
+let analysis_transcript () =
+  transcript
     (Kernels.all Kernels.picachu @ Kernels.all Kernels.picachu_nli
     @ Kernels.extras Kernels.picachu
-    @ Kernels.extras Kernels.picachu_nli);
-  Buffer.contents b
+    @ Kernels.extras Kernels.picachu_nli)
 
 let test_analysis_golden () =
   Alcotest.(check string)
     "roster x catalogue digest" "2635dce10e2b550bdefe58aa8235bb8d"
     (Digest.to_hex (Digest.string (analysis_transcript ())))
+
+(* y[i] = x[i] * i: the data path reads the induction variable, so the
+   loop-control skeleton is observed and the loop runs to the trip cap *)
+let iv_scaled =
+  let b = Builder.create () in
+  Builder.store b "y" (Builder.mul b (Builder.load b "x") (Builder.iv b));
+  {
+    Kernel.name = "iv-scaled";
+    klass = Kernel.EO;
+    loops = [ Builder.finish b ~label:"iv-scaled.1" ~trip_input:"n" () ];
+    inputs = [ "x" ];
+    outputs = [ "y" ];
+    scalar_inputs = [ "n" ];
+  }
+
+(* A reduction whose accumulator phi comes first in the body, before the
+   three loads it is summed with, and whose running sum is stored: from
+   round 3 the phi is re-evaluated every round while the load terms are
+   kept, so the sum meets the symbols of a fresh value and of a kept one,
+   and its radius depends on their order *)
+let early_phi =
+  let b = Builder.create () in
+  let acc = Builder.phi b ~init:(Builder.const b 0.0) in
+  let scaled s c = Builder.mul b (Builder.load b s) (Builder.const b c) in
+  let term = Builder.add b (Builder.add b (scaled "x" 0.3) (scaled "y" 0.7)) (scaled "x" 0.11) in
+  let next = Builder.add b acc term in
+  Builder.set_phi_next b acc next;
+  Builder.store b "out" next;
+  {
+    Kernel.name = "early-phi";
+    klass = Kernel.RE;
+    loops =
+      [
+        Builder.finish b ~label:"early-phi.1" ~reduction:true
+          ~exports:[ ("acc", next) ] ~trip_input:"n" ();
+      ];
+    inputs = [ "x"; "y" ];
+    outputs = [ "out" ];
+    scalar_inputs = [ "n" ];
+  }
+
+(* y[i] = x[i] - x[i-2] through a two-phi delay line: the second phi's own
+   cell first moves a round after its carried one does *)
+let second_difference =
+  let b = Builder.create () in
+  let zero = Builder.const b 0.0 in
+  let prev = Builder.phi b ~init:zero in
+  let prev2 = Builder.phi b ~init:zero in
+  let x = Builder.load b "x" in
+  Builder.set_phi_next b prev x;
+  Builder.set_phi_next b prev2 prev;
+  Builder.store b "y" (Builder.sub b x prev2);
+  {
+    Kernel.name = "second-difference";
+    klass = Kernel.EO;
+    loops = [ Builder.finish b ~label:"second-difference.1" ~trip_input:"n" () ];
+    inputs = [ "x" ];
+    outputs = [ "y" ];
+    scalar_inputs = [ "n" ];
+  }
+
+(* A select whose predicate reads a data-path counter: the counter is exact
+   in fixed point until it leaves the format, many rounds in, and only then
+   does the select pay for a possible branch flip *)
+let counted_select =
+  let b = Builder.create () in
+  let counter = Builder.phi b ~init:(Builder.const b 0.0) in
+  Builder.set_phi_next b counter (Builder.add b counter (Builder.const b 1.0));
+  let late = Builder.cmp b Op.Gt counter (Builder.const b 4.0) in
+  Builder.store b "y" (Builder.select b late (Builder.load b "x") (Builder.const b 0.0));
+  {
+    Kernel.name = "counted-select";
+    klass = Kernel.EO;
+    loops = [ Builder.finish b ~label:"counted-select.1" ~trip_input:"n" () ];
+    inputs = [ "x" ];
+    outputs = [ "y" ];
+    scalar_inputs = [ "n" ];
+  }
+
+(* The first loop exports its induction variable (the count of elements it
+   saw) and the second scales by it: the export observes the skeleton *)
+let iv_export =
+  let first = Builder.create () in
+  let seen = Builder.iv first in
+  let counted = Builder.finish first ~label:"iv-export.1" ~exports:[ ("seen", seen) ] ~trip_input:"n" () in
+  let second = Builder.create () in
+  Builder.store second "y"
+    (Builder.mul second (Builder.load second "x") (Builder.input second "seen"));
+  {
+    Kernel.name = "iv-export";
+    klass = Kernel.EO;
+    loops = [ counted; Builder.finish second ~label:"iv-export.2" ~trip_input:"n" () ];
+    inputs = [ "x" ];
+    outputs = [ "y" ];
+    scalar_inputs = [ "n" ];
+  }
+
+(* Beyond the roster: the fuzz generator's random kernels (with and without
+   reduction accumulators), the hand-built kernels above, and a roster
+   reduction kernel whose sums stop at a short trip cap.  The digest was
+   recorded with the dense fixpoint engine that ran every instruction of
+   every round to [trip_max + 1] rounds. *)
+let test_fixpoint_golden () =
+  let fuzz = List.init 50 Test_fuzz.random_kernel in
+  let hand_built = [ iv_scaled; iv_export; early_phi; second_difference; counted_select ] in
+  Alcotest.(check (pair bool bool))
+    "fuzz kernels with and without reductions" (true, true)
+    ( List.exists (fun (k : Kernel.t) -> k.Kernel.klass = Kernel.RE) fuzz,
+      List.exists (fun (k : Kernel.t) -> k.Kernel.klass = Kernel.EO) fuzz );
+  List.iter
+    (fun (k : Kernel.t) ->
+      Alcotest.(check bool) (k.Kernel.name ^ " validates") true (Kernel.validate k = Ok ()))
+    hand_built;
+  let text =
+    transcript (fuzz @ hand_built)
+    ^ transcript ~trip_max:7 [ Kernels.by_name Kernels.picachu "layernorm" ]
+  in
+  Alcotest.(check string) "fuzz, hand-built and trip cap digest"
+    "6d060857dd63f017bc2cce7c903e599c"
+    (Digest.to_hex (Digest.string text))
+
+(* ---------------------------------------------------------- fixpoint work *)
+
+let select_format_counter name =
+  match
+    List.find_opt
+      (fun (s : Pipeline.pass_stats) -> s.Pipeline.pass = "select-format")
+      (Compiler.compile_stats ())
+  with
+  | Some s -> Option.value ~default:0 (List.assoc_opt name s.Pipeline.counters)
+  | None -> 0
+
+(* The ladder's fixpoint work over the Taylor and NLI rosters x the
+   catalogue is deterministic, so it is pinned under a ceiling the way
+   [stats --sweep-effort] pins II attempts: measured 172 040 evaluations in
+   62 100 rounds, ceiling 1.3x.  The dense engine, which ran every
+   instruction of every loop for trip_max + 1 rounds, spent 4.26 M.  The
+   same totals surface as select-format pass counters. *)
+let test_fixpoint_work_ceiling () =
+  let evals0 = select_format_counter "fixpoint-evals"
+  and rounds0 = select_format_counter "fixpoint-rounds" in
+  let rounds, evals =
+    List.fold_left
+      (fun (r, e) k ->
+        let c = Compiler.select_format k in
+        (r + c.Precision.work.Absint.rounds, e + c.Precision.work.Absint.evals))
+      (0, 0)
+      (Explore.kernel_roster ~backend:Kernels.Taylor ()
+      @ Explore.kernel_roster ~backend:Kernels.Nli ())
+  in
+  Printf.printf "fixpoint work: %d rounds, %d evaluations\n" rounds evals;
+  Alcotest.(check bool) "evaluations under the ceiling" true (evals <= 223_652);
+  Alcotest.(check int) "fixpoint-evals counter" evals
+    (select_format_counter "fixpoint-evals" - evals0);
+  Alcotest.(check int) "fixpoint-rounds counter" rounds
+    (select_format_counter "fixpoint-rounds" - rounds0)
+
+(* relu's data path is stable after one round of joins: its loop ends
+   after round 3, which evaluates nothing, in every format instead of
+   running to the trip cap *)
+let test_relu_stops_early () =
+  let relu = List.find (fun k -> k.Kernel.name = "relu") roster in
+  List.iter
+    (fun fmt ->
+      let w = List.assoc "relu.1" (Precision.analyze ~fmt relu).Precision.work in
+      Alcotest.(check bool)
+        (Printf.sprintf "relu.1 under %s: %d rounds" (Numfmt.name fmt) w.Absint.rounds)
+        true (w.Absint.rounds <= 3))
+    Numfmt.catalogue
 
 let suite =
   [
@@ -368,5 +541,11 @@ let suite =
           test_findings_deterministic_across_pools;
         Alcotest.test_case "range/precision roster golden" `Quick
           test_analysis_golden;
+        Alcotest.test_case "range/precision fixpoint golden" `Quick
+          test_fixpoint_golden;
+        Alcotest.test_case "fixpoint work under ceiling" `Quick
+          test_fixpoint_work_ceiling;
+        Alcotest.test_case "relu stops within 3 rounds" `Quick
+          test_relu_stops_early;
       ] );
   ]
